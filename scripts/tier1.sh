@@ -148,9 +148,20 @@ for needle in "==== hlm statusz ====" "-- counters --" \
   esac
 done
 if command -v python3 >/dev/null 2>&1; then
+  # Every flight_tail item is an events-JSONL line (one schema).
   "$BUILD_DIR/tools/hlm_statusz" render --metrics "$METRICS_JSON" \
     --events "$EVENTS_JSONL" --format json --tail 8 |
-    python3 -c 'import json, sys; json.load(sys.stdin)'
+    python3 -c '
+import json, sys
+tail = json.load(sys.stdin)["flight_tail"]
+if not tail:
+    sys.exit("render --format json has an empty flight_tail")
+keys = ("ts_us", "level", "name", "tid", "span_id", "attrs")
+for item in tail:
+    missing = [key for key in keys if key not in item]
+    if missing:
+        sys.exit(f"flight_tail item missing {missing}: {item}")
+'
 fi
 echo "ok: statusz text + json render from metrics/events dumps"
 
@@ -177,6 +188,10 @@ if dump.get("run_id") != "selfcheck":
 entries = dump.get("entries", [])
 if not entries:
     sys.exit("crash dump has no flight-recorder entries")
+for entry in entries:
+    for key in ("ts_us", "level", "name", "tid", "span_id", "attrs"):
+        if key not in entry:
+            sys.exit(f"crash dump entry missing key {key!r}: {entry}")
 names = {entry.get("name") for entry in entries}
 if "statusz.selfcheck.arm" not in names:
     sys.exit("crash dump missing the pre-crash event trail")
@@ -309,8 +324,7 @@ fi
 # filled during the 3s run.
 STATUSZ_BODY="$("$BUILD_DIR/tools/hlm_loadgen" --port "$SERVE_PORT" \
   --mode once --path /statusz)"
-for needle in "==== hlm statusz ====" "hlm.serve.http.requests_total" \
-    "hlm.serve.server.reloads_total" \
+for needle in "==== hlm statusz ====" "hlm.serve.server.reloads_total" \
     "hlm.serve.http.recommend.requests_total" \
     "-- windowed (last "; do
   case "$STATUSZ_BODY" in
@@ -330,18 +344,18 @@ for needle in "hlm_serve_http_recommend_request_seconds_bucket" \
   grep -q "$needle" "$SERVE_DIR/metricsz.txt" ||
     { echo "live /metricsz missing: $needle" >&2; exit 1; }
 done
-# hlm_top one-frame smoke against the live daemon.
-"$BUILD_DIR/tools/hlm_top" --port "$SERVE_PORT" --once \
+# hlm_statusz top one-frame smoke against the live daemon.
+"$BUILD_DIR/tools/hlm_statusz" top --port "$SERVE_PORT" --once \
   > "$SERVE_DIR/top.txt"
 for needle in "hlm_top" "endpoint" "recommend"; do
   grep -q "$needle" "$SERVE_DIR/top.txt" ||
-    { echo "hlm_top --once output missing: $needle" >&2; exit 1; }
+    { echo "hlm_statusz top --once output missing: $needle" >&2; exit 1; }
 done
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
 echo "ok: hot reloads under load, loadgen report, metricsz validates," \
-  "windowed statusz, hlm_top renders"
+  "windowed statusz, hlm_statusz top renders"
 
 echo "== tier1: bench regression check (serve suite) =="
 "$BUILD_DIR/tools/hlm_bench" --suite serve --out none --check \

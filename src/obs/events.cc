@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "obs/flight_recorder.h"
@@ -20,11 +22,20 @@ namespace {
 // without bound.
 const char kOverflowName[] = "obs.events.overflow";
 
-std::string FormatDouble(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+EventValue ValueFromJson(const JsonValue& value) {
+  switch (value.kind()) {
+    case JsonValue::Kind::kBool:
+      return value.AsBool();
+    case JsonValue::Kind::kString:
+      return value.AsString();
+    case JsonValue::Kind::kNumber:
+      if (std::optional<long long> integer = value.AsInteger()) {
+        return *integer;
+      }
+      return value.AsNumber();
+    default:
+      return std::numeric_limits<double>::quiet_NaN();
+  }
 }
 
 }  // namespace
@@ -39,6 +50,8 @@ const char* EventLevelName(EventLevel level) {
       return "warn";
     case EventLevel::kError:
       return "error";
+    case EventLevel::kSpan:
+      return "span";
   }
   return "?";
 }
@@ -49,8 +62,12 @@ std::string EventValue::ToJson() const {
       return bool_ ? "true" : "false";
     case Kind::kInt:
       return std::to_string(int_);
-    case Kind::kDouble:
-      return FormatDouble(double_);
+    case Kind::kDouble: {
+      if (!std::isfinite(double_)) return "null";
+      char buffer[32];
+      std::snprintf(buffer, sizeof(buffer), "%.17g", double_);
+      return buffer;
+    }
     case Kind::kString:
       return JsonQuote(string_);
   }
@@ -59,7 +76,9 @@ std::string EventValue::ToJson() const {
 
 std::string Event::ToJsonLine() const {
   std::ostringstream out;
-  out << "{\"ts_us\": " << FormatDouble(ts_us)
+  out << "{";
+  if (seq != 0) out << "\"seq\": " << seq << ", ";
+  out << "\"ts_us\": " << EventValue(ts_us).ToJson()
       << ", \"level\": \"" << EventLevelName(level)
       << "\", \"name\": " << JsonQuote(name)
       << ", \"tid\": " << (thread_id % 1000000)
@@ -70,6 +89,40 @@ std::string Event::ToJsonLine() const {
   }
   out << "}}";
   return out.str();
+}
+
+Result<Event> Event::FromJsonLine(const std::string& line) {
+  Result<JsonValue> parsed = JsonValue::Parse(line);
+  if (!parsed.ok()) return Status::DataLoss(parsed.status().message());
+  if (!parsed->is_object()) {
+    return Status::DataLoss("event line is not a JSON object");
+  }
+  const JsonValue& doc = parsed.value();
+  auto integer = [&doc](const char* key) {
+    const JsonValue* value = doc.Find(key);
+    return value == nullptr ? 0 : value->AsInteger().value_or(0);
+  };
+  Event event;
+  event.seq = static_cast<uint64_t>(integer("seq"));
+  event.thread_id = static_cast<uint64_t>(integer("tid"));
+  event.span_id = integer("span_id");
+  if (const JsonValue* ts = doc.Find("ts_us")) event.ts_us = ts->AsNumber();
+  if (const JsonValue* name = doc.Find("name")) event.name = name->AsString();
+  if (const JsonValue* level = doc.Find("level")) {
+    for (EventLevel candidate :
+         {EventLevel::kDebug, EventLevel::kWarning, EventLevel::kError,
+          EventLevel::kSpan}) {
+      if (level->AsString() == EventLevelName(candidate)) {
+        event.level = candidate;
+      }
+    }
+  }
+  if (const JsonValue* attrs = doc.Find("attrs")) {
+    for (const auto& [key, value] : attrs->object()) {
+      event.attrs.emplace_back(key, ValueFromJson(value));
+    }
+  }
+  return event;
 }
 
 EventLog& EventLog::Global() {
@@ -135,7 +188,7 @@ void EventLog::Emit(
   // The flight recorder sees every gate-passing event, including ones
   // the bounded buffer or sampler discarded — its ring overwrites
   // oldest-first anyway, and crash dumps want the freshest context.
-  FlightRecorder::Global().RecordEvent(event);
+  FlightRecorder::Global().Record(std::move(event));
 }
 
 std::vector<Event> EventLog::Events() const {

@@ -17,8 +17,10 @@
 namespace hlm::obs {
 
 /// Severity of one wide event. Ordered so the min-level gate is a
-/// single integer compare.
-enum class EventLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
+/// single integer compare. kSpan is not a severity: it marks a span
+/// close the trace path records into the flight recorder, which never
+/// passes through the EventLog gate.
+enum class EventLevel { kDebug, kInfo, kWarning, kError, kSpan };
 
 const char* EventLevelName(EventLevel level);
 
@@ -53,8 +55,12 @@ class EventValue {
 
 /// One structured wide event: a name plus a flat bag of key/value
 /// attributes, stamped with time, thread, and the current trace span
-/// (0 when tracing is off), so logs join against traces offline.
+/// (0 when tracing is off), so logs join against traces offline. The
+/// one record type of the observability path: EventLog buffers it, the
+/// flight recorder rings it, and a closed span is one too (level kSpan,
+/// attrs duration_us / parent_id / depth).
 struct Event {
+  uint64_t seq = 0;  ///< flight-recorder admission order; 0 outside it
   double ts_us = 0.0;
   EventLevel level = EventLevel::kInfo;
   std::string name;
@@ -62,10 +68,19 @@ struct Event {
   int64_t span_id = 0;
   std::vector<std::pair<std::string, EventValue>> attrs;
 
-  /// One JSONL line (no trailing newline):
-  ///   {"ts_us": ..., "level": "info", "name": "...", "tid": ...,
-  ///    "span_id": ..., "attrs": {...}}
+  /// One JSONL line (no trailing newline), the single serialized form
+  /// of an event — events files, crash dumps and the statusz tail:
+  ///   {["seq": ..., ]"ts_us": ..., "level": "info", "name": "...",
+  ///    "tid": ..., "span_id": ..., "attrs": {...}}
+  /// "seq" appears only when nonzero.
   std::string ToJsonLine() const;
+
+  /// Inverse of ToJsonLine. Missing keys keep their defaults and an
+  /// unknown level reads as info; attrs come back in key order (JSON
+  /// objects are unordered), and a null or nested attr value reads as a
+  /// non-finite double, which serializes as null again. DataLoss when
+  /// the line is not a JSON object.
+  static Result<Event> FromJsonLine(const std::string& line);
 };
 
 /// Process-wide structured event log. Enabled at kInfo by default —

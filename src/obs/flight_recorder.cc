@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "obs/events.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -17,12 +16,6 @@ namespace {
 
 std::mutex g_dump_dir_mu;
 std::string g_dump_dir = ".";  // guarded by g_dump_dir_mu
-
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 void DumpOnFatal() {
   const std::string path = CrashDumpPath();
@@ -49,65 +42,27 @@ FlightRecorder& FlightRecorder::Global() {
   return *recorder;
 }
 
-void FlightRecorder::Record(FlightEntry entry) {
-  entry.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  Stripe& stripe = stripes_[entry.thread_id % kStripes];
+void FlightRecorder::Record(Event event) {
+  event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  Stripe& stripe = stripes_[event.thread_id % kStripes];
   std::lock_guard<std::mutex> lock(stripe.mu);
   if (stripe.ring.size() < kPerStripe) {
-    stripe.ring.push_back(std::move(entry));
+    stripe.ring.push_back(std::move(event));
   } else {
-    stripe.ring[stripe.next] = std::move(entry);
+    stripe.ring[stripe.next] = std::move(event);
     stripe.next = (stripe.next + 1) % kPerStripe;
   }
 }
 
-void FlightRecorder::RecordEvent(const Event& event) {
-  FlightEntry entry;
-  entry.kind = FlightEntry::Kind::kEvent;
-  entry.ts_us = event.ts_us;
-  entry.name = event.name;
-  entry.level = EventLevelName(event.level);
-  entry.thread_id = event.thread_id;
-  entry.span_id = event.span_id;
-  std::ostringstream detail;
-  detail << "{";
-  for (size_t i = 0; i < event.attrs.size(); ++i) {
-    if (i > 0) detail << ", ";
-    detail << JsonQuote(event.attrs[i].first) << ": "
-           << event.attrs[i].second.ToJson();
-  }
-  detail << "}";
-  entry.detail = detail.str();
-  Record(std::move(entry));
-}
-
-void FlightRecorder::RecordSpanClose(const TraceEvent& event) {
-  FlightEntry entry;
-  entry.kind = FlightEntry::Kind::kSpan;
-  entry.ts_us = event.start_us;
-  entry.name = event.name;
-  entry.level = "span";
-  entry.thread_id = event.thread_id;
-  entry.span_id = event.span_id;
-  std::ostringstream detail;
-  detail << "{\"duration_us\": " << FormatDouble(event.duration_us)
-         << ", \"parent_id\": " << event.parent_id
-         << ", \"depth\": " << event.depth << "}";
-  entry.detail = detail.str();
-  Record(std::move(entry));
-}
-
-std::vector<FlightEntry> FlightRecorder::Tail(size_t max_entries) const {
-  std::vector<FlightEntry> merged;
+std::vector<Event> FlightRecorder::Tail(size_t max_entries) const {
+  std::vector<Event> merged;
   merged.reserve(kStripes * kPerStripe);
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
     merged.insert(merged.end(), stripe.ring.begin(), stripe.ring.end());
   }
   std::sort(merged.begin(), merged.end(),
-            [](const FlightEntry& a, const FlightEntry& b) {
-              return a.seq < b.seq;
-            });
+            [](const Event& a, const Event& b) { return a.seq < b.seq; });
   if (merged.size() > max_entries) {
     merged.erase(merged.begin(),
                  merged.end() - static_cast<ptrdiff_t>(max_entries));
@@ -116,20 +71,14 @@ std::vector<FlightEntry> FlightRecorder::Tail(size_t max_entries) const {
 }
 
 std::string FlightRecorder::ToJson(size_t max_entries) const {
-  std::vector<FlightEntry> entries = Tail(max_entries);
+  std::vector<Event> entries = Tail(max_entries);
   std::ostringstream out;
   out << "{\n  \"run_id\": " << JsonQuote(TraceRecorder::Global().run_id())
-      << ",\n  \"dumped_at_us\": " << FormatDouble(NowMicros())
+      << ",\n  \"dumped_at_us\": " << EventValue(NowMicros()).ToJson()
       << ",\n  \"entries\": [\n";
   for (size_t i = 0; i < entries.size(); ++i) {
-    const FlightEntry& e = entries[i];
-    out << "    {\"kind\": \""
-        << (e.kind == FlightEntry::Kind::kSpan ? "span" : "event")
-        << "\", \"seq\": " << e.seq << ", \"ts_us\": " << FormatDouble(e.ts_us)
-        << ", \"name\": " << JsonQuote(e.name) << ", \"level\": "
-        << JsonQuote(e.level) << ", \"tid\": " << (e.thread_id % 1000000)
-        << ", \"span_id\": " << e.span_id << ", \"detail\": " << e.detail
-        << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
+    out << "    " << entries[i].ToJsonLine()
+        << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   return out.str();

@@ -8,30 +8,14 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/events.h"
 
 namespace hlm::obs {
 
-struct Event;       // obs/events.h
-struct TraceEvent;  // obs/trace.h
-
-/// One flight-recorder record: a wide event or a closed span, reduced
-/// to the fields a postmortem needs. `detail` is a pre-serialized JSON
-/// object fragment (event attrs, or span duration/parent).
-struct FlightEntry {
-  enum class Kind { kEvent, kSpan };
-  Kind kind = Kind::kEvent;
-  uint64_t seq = 0;  ///< global admission order (merge key)
-  double ts_us = 0.0;
-  std::string name;
-  std::string level;  ///< event level, or "span"
-  uint64_t thread_id = 0;
-  int64_t span_id = 0;
-  std::string detail;  ///< JSON object, e.g. {"sweep": 3}
-};
-
 /// Fixed-size, lock-striped ring buffer of the last ~N events and span
-/// closes. Always on: writes touch one stripe mutex and never allocate
-/// beyond the entry's strings, so it is cheap enough to leave armed for
+/// closes, both stored as obs::Event (a span close has level kSpan).
+/// Always on: writes touch one stripe mutex and never allocate beyond
+/// the event's own strings, so it is cheap enough to leave armed for
 /// the whole run. HLM_CHECK failures and fatal logs dump it to
 /// hlm-crash-<run_id>.json (see InstallCrashHandler), turning an
 /// invariant failure into a postmortem with the run's last moves.
@@ -46,15 +30,16 @@ class FlightRecorder {
 
   static FlightRecorder& Global();
 
-  void Record(FlightEntry entry);
-  void RecordEvent(const Event& event);
-  void RecordSpanClose(const TraceEvent& event);
+  /// Admits one record, stamping its `seq` with the global admission
+  /// order; the stripe is picked by thread id.
+  void Record(Event event);
 
   /// The newest `max_entries` records across all stripes, oldest first
   /// (merged by admission order).
-  std::vector<FlightEntry> Tail(size_t max_entries) const;
+  std::vector<Event> Tail(size_t max_entries) const;
 
-  /// {"run_id": ..., "entries": [...]} over the newest max_entries.
+  /// {"run_id": ..., "dumped_at_us": ..., "entries": [...]} over the
+  /// newest max_entries, one Event::ToJsonLine object per entry.
   std::string ToJson(size_t max_entries = kStripes * kPerStripe) const;
 
   Status DumpToFile(const std::string& path,
@@ -65,8 +50,8 @@ class FlightRecorder {
  private:
   struct Stripe {
     mutable std::mutex mu;
-    std::vector<FlightEntry> ring;  ///< capacity kPerStripe once warm
-    size_t next = 0;                ///< overwrite cursor
+    std::vector<Event> ring;  ///< capacity kPerStripe once warm
+    size_t next = 0;          ///< overwrite cursor
   };
 
   std::atomic<uint64_t> next_seq_{1};

@@ -1,6 +1,8 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -244,8 +246,17 @@ class JsonValueParser {
     if (parse_end == nullptr || *parse_end != '\0') {
       return Error("unparsable number '" + span + "'");
     }
+    // JSON has no inf/nan; an overflowing literal is corrupt input.
+    if (!std::isfinite(value)) {
+      return Error("number out of range '" + span + "'");
+    }
     out->kind_ = JsonValue::Kind::kNumber;
     out->number_ = value;
+    if (span.find_first_of(".eE") == std::string::npos) {
+      errno = 0;
+      long long integer = std::strtoll(span.c_str(), &parse_end, 10);
+      if (errno == 0 && *parse_end == '\0') out->integer_ = integer;
+    }
     return Status::OK();
   }
 
@@ -268,6 +279,19 @@ double JsonValue::AsNumber(double fallback) const {
 
 std::string JsonValue::AsString(const std::string& fallback) const {
   return kind_ == Kind::kString ? string_ : fallback;
+}
+
+std::optional<long long> JsonValue::AsInteger() const {
+  if (kind_ != Kind::kNumber) return std::nullopt;
+  if (integer_.has_value()) return integer_;
+  // 2^63 is exactly representable; every double below it in magnitude
+  // converts without overflow.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (number_ != std::trunc(number_) || number_ < -kLimit ||
+      number_ >= kLimit) {
+    return std::nullopt;
+  }
+  return static_cast<long long>(number_);
 }
 
 const JsonValue* JsonValue::Find(const std::string& key) const {

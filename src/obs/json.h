@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,12 +24,12 @@ std::string JsonQuote(const std::string& raw);
 /// keep the escaped character verbatim.
 std::string JsonUnescape(const std::string& escaped);
 
-/// A parsed JSON document node: the generic counterpart to the
-/// schema-specific parsers scattered through the exporters, for tools
-/// (hlm_top) that consume whole /statusz documents rather than one
-/// known shape. Numbers are doubles (the only numeric type this
-/// codebase's JSON emitters produce); object keys keep first-wins
-/// semantics on duplicates.
+/// A parsed JSON document node: the one JSON reader in the codebase.
+/// Metrics snapshots (MetricsSnapshot::FromJson), events-JSONL lines
+/// (Event::FromJsonLine) and live /statusz documents (hlm_statusz top)
+/// all parse through it. Numbers are finite doubles, and integer
+/// literals additionally keep their exact int64 value (AsInteger);
+/// object keys keep first-wins semantics on duplicates.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -48,6 +49,11 @@ class JsonValue {
   bool AsBool(bool fallback = false) const;
   double AsNumber(double fallback = 0.0) const;
   std::string AsString(const std::string& fallback = "") const;
+  /// The number as an int64 when it is integral and in range: exact for
+  /// integer literals (doubles lose precision past 2^53, and span ids
+  /// use 63 bits); nullopt for fractions, out-of-range values and
+  /// non-numbers.
+  std::optional<long long> AsInteger() const;
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
@@ -62,6 +68,7 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  std::optional<long long> integer_;  ///< set for integer literals
   std::string string_;
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;

@@ -1,9 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/check.h"
@@ -258,167 +257,83 @@ std::string MetricsSnapshot::ToText() const {
 
 namespace {
 
-/// Recursive-descent parser for the exact JSON subset ToJson emits
-/// (objects, arrays, strings with JsonQuote's escapes, numbers).
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+Status Corrupt(const std::string& what) {
+  return Status::DataLoss("metrics json: " + what);
+}
 
-  Status Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Status::DataLoss(std::string("expected '") + c + "' at offset " +
-                              std::to_string(pos_));
-    }
-    ++pos_;
-    return Status::OK();
+Result<double> NumberOf(const JsonValue& value, const std::string& what) {
+  if (value.kind() != JsonValue::Kind::kNumber) {
+    return Corrupt(what + " is not a number");
   }
+  return value.AsNumber();
+}
 
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
+Result<long long> CountOf(const JsonValue& value, const std::string& what) {
+  std::optional<long long> count = value.AsInteger();
+  if (!count.has_value()) return Corrupt(what + " is not an integer");
+  return *count;
+}
 
-  Result<std::string> ParseString() {
-    HLM_RETURN_IF_ERROR(Expect('"'));
-    std::string escaped;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      escaped.push_back(text_[pos_]);
-      // Keep escape pairs intact so an escaped quote cannot terminate.
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) {
-        escaped.push_back(text_[pos_ + 1]);
-        ++pos_;
-      }
-      ++pos_;
-    }
-    HLM_RETURN_IF_ERROR(Expect('"'));
-    return JsonUnescape(escaped);
-  }
-
-  Result<double> ParseNumber() {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Status::DataLoss("expected number at offset " +
-                              std::to_string(start));
-    }
-    return std::stod(text_.substr(start, pos_ - start));
-  }
-
-  Result<std::vector<double>> ParseNumberArray() {
-    HLM_RETURN_IF_ERROR(Expect('['));
-    std::vector<double> values;
-    if (!Peek(']')) {
-      while (true) {
-        HLM_ASSIGN_OR_RETURN(double v, ParseNumber());
-        values.push_back(v);
-        if (!Peek(',')) break;
-        ++pos_;
+Result<HistogramSnapshot> HistogramOf(const JsonValue& fields,
+                                      const std::string& name) {
+  if (!fields.is_object()) return Corrupt(name + " is not an object");
+  HistogramSnapshot h;
+  // "mean"/"p50"/"p90"/"p99" are derived on export; ignore them.
+  for (const auto& [field, value] : fields.object()) {
+    const std::string what = name + "." + field;
+    if (field == "count") {
+      HLM_ASSIGN_OR_RETURN(h.count, CountOf(value, what));
+    } else if (field == "sum") {
+      HLM_ASSIGN_OR_RETURN(h.sum, NumberOf(value, what));
+    } else if (field == "min") {
+      HLM_ASSIGN_OR_RETURN(h.min, NumberOf(value, what));
+    } else if (field == "max") {
+      HLM_ASSIGN_OR_RETURN(h.max, NumberOf(value, what));
+    } else if (field == "bounds" || field == "bucket_counts") {
+      if (!value.is_array()) return Corrupt(what + " is not an array");
+      for (const JsonValue& item : value.array()) {
+        if (field == "bounds") {
+          HLM_ASSIGN_OR_RETURN(double bound, NumberOf(item, what));
+          h.bounds.push_back(bound);
+        } else {
+          HLM_ASSIGN_OR_RETURN(long long count, CountOf(item, what));
+          h.bucket_counts.push_back(count);
+        }
       }
     }
-    HLM_RETURN_IF_ERROR(Expect(']'));
-    return values;
   }
-
-  /// Iterates "name": <value> members of an object; the callback parses
-  /// the value with this parser.
-  template <typename Fn>
-  Status ParseObject(const Fn& member) {
-    HLM_RETURN_IF_ERROR(Expect('{'));
-    if (!Peek('}')) {
-      while (true) {
-        HLM_ASSIGN_OR_RETURN(std::string name, ParseString());
-        HLM_RETURN_IF_ERROR(Expect(':'));
-        HLM_RETURN_IF_ERROR(member(name));
-        if (!Peek(',')) break;
-        ++pos_;
-      }
-    }
-    return Expect('}');
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+  return h;
+}
 
 }  // namespace
 
 Result<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json) {
+  Result<JsonValue> parsed = JsonValue::Parse(json);
+  if (!parsed.ok()) return Corrupt(parsed.status().message());
+  if (!parsed->is_object()) return Corrupt("document is not an object");
   MetricsSnapshot snapshot;
-  JsonParser parser(json);
-  Status status = parser.ParseObject([&](const std::string& section) {
-    if (section == "meta") {
-      return parser.ParseObject([&](const std::string& name) {
-        HLM_ASSIGN_OR_RETURN(std::string v, parser.ParseString());
-        snapshot.meta[name] = std::move(v);
-        return Status::OK();
-      });
+  for (const auto& [section, members] : parsed->object()) {
+    if (section != "meta" && section != "counters" && section != "gauges" &&
+        section != "histograms") {
+      return Corrupt("unknown section: " + section);
     }
-    if (section == "counters") {
-      return parser.ParseObject([&](const std::string& name) {
-        HLM_ASSIGN_OR_RETURN(double v, parser.ParseNumber());
-        snapshot.counters[name] = static_cast<long long>(std::llround(v));
-        return Status::OK();
-      });
+    if (!members.is_object()) return Corrupt(section + " is not an object");
+    for (const auto& [name, value] : members.object()) {
+      if (section == "meta") {
+        if (value.kind() != JsonValue::Kind::kString) {
+          return Corrupt("meta " + name + " is not a string");
+        }
+        snapshot.meta[name] = value.AsString();
+      } else if (section == "counters") {
+        HLM_ASSIGN_OR_RETURN(snapshot.counters[name], CountOf(value, name));
+      } else if (section == "gauges") {
+        HLM_ASSIGN_OR_RETURN(snapshot.gauges[name], NumberOf(value, name));
+      } else {
+        HLM_ASSIGN_OR_RETURN(snapshot.histograms[name],
+                             HistogramOf(value, name));
+      }
     }
-    if (section == "gauges") {
-      return parser.ParseObject([&](const std::string& name) {
-        HLM_ASSIGN_OR_RETURN(double v, parser.ParseNumber());
-        snapshot.gauges[name] = v;
-        return Status::OK();
-      });
-    }
-    if (section == "histograms") {
-      return parser.ParseObject([&](const std::string& name) {
-        HistogramSnapshot h;
-        HLM_RETURN_IF_ERROR(parser.ParseObject([&](const std::string& field) {
-          if (field == "bounds") {
-            HLM_ASSIGN_OR_RETURN(h.bounds, parser.ParseNumberArray());
-            return Status::OK();
-          }
-          if (field == "bucket_counts") {
-            HLM_ASSIGN_OR_RETURN(std::vector<double> counts,
-                                 parser.ParseNumberArray());
-            h.bucket_counts.clear();
-            for (double c : counts) {
-              h.bucket_counts.push_back(
-                  static_cast<long long>(std::llround(c)));
-            }
-            return Status::OK();
-          }
-          HLM_ASSIGN_OR_RETURN(double v, parser.ParseNumber());
-          if (field == "count") {
-            h.count = static_cast<long long>(std::llround(v));
-          } else if (field == "sum") {
-            h.sum = v;
-          } else if (field == "min") {
-            h.min = v;
-          } else if (field == "max") {
-            h.max = v;
-          }  // "mean"/"p50"/"p90"/"p99" are derived; ignore.
-          return Status::OK();
-        }));
-        snapshot.histograms[name] = std::move(h);
-        return Status::OK();
-      });
-    }
-    return Status::DataLoss("unknown metrics section: " + section);
-  });
-  HLM_RETURN_IF_ERROR(status);
+  }
   return snapshot;
 }
 

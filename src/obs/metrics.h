@@ -118,8 +118,9 @@ struct MetricsSnapshot {
   std::string ToJson() const;
   std::string ToText() const;
 
-  /// Parses a JSON document produced by ToJson (schema-specific parser;
-  /// used by tests and the tier-1 metrics checker).
+  /// Parses a JSON document produced by ToJson (through obs::JsonValue).
+  /// DataLoss on malformed JSON, an unknown section, or a value of the
+  /// wrong type or range (counts must be integers that fit an int64).
   static Result<MetricsSnapshot> FromJson(const std::string& json);
 };
 

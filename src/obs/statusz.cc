@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/percentiles.h"
 #include "obs/profiler.h"
@@ -36,21 +37,7 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
 
 std::string RenderStatuszText(const MetricsSnapshot& metrics,
                               const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail) {
-  return RenderStatuszText(metrics, open_spans, flight_tail,
-                           WindowSummary{});
-}
-
-std::string RenderStatuszJson(const MetricsSnapshot& metrics,
-                              const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail) {
-  return RenderStatuszJson(metrics, open_spans, flight_tail,
-                           WindowSummary{});
-}
-
-std::string RenderStatuszText(const MetricsSnapshot& metrics,
-                              const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail,
+                              const std::vector<Event>& flight_tail,
                               const WindowSummary& window) {
   std::ostringstream out;
   out << "==== hlm statusz ====\n";
@@ -132,21 +119,13 @@ std::string RenderStatuszText(const MetricsSnapshot& metrics,
   }
 
   out << "\n-- flight recorder tail (" << flight_tail.size() << ") --\n";
-  out << "seq kind level tid span_id ts_us name detail\n";
-  for (const FlightEntry& entry : flight_tail) {
-    out << entry.seq << " "
-        << (entry.kind == FlightEntry::Kind::kSpan ? "span" : "event") << " "
-        << entry.level << " " << (entry.thread_id % 1000000) << " "
-        << entry.span_id << " " << FormatDouble(entry.ts_us) << " "
-        << entry.name << " "
-        << (entry.detail.empty() ? "{}" : entry.detail) << "\n";
-  }
+  for (const Event& entry : flight_tail) out << entry.ToJsonLine() << "\n";
   return out.str();
 }
 
 std::string RenderStatuszJson(const MetricsSnapshot& metrics,
                               const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail,
+                              const std::vector<Event>& flight_tail,
                               const WindowSummary& window) {
   std::ostringstream out;
   out << "{\n\"run_id\": " << JsonQuote(RunIdOf(metrics))
@@ -222,17 +201,7 @@ std::string RenderStatuszJson(const MetricsSnapshot& metrics,
 
   out << "\"flight_tail\": [";
   for (size_t i = 0; i < flight_tail.size(); ++i) {
-    const FlightEntry& entry = flight_tail[i];
-    out << (i > 0 ? "," : "") << "\n  {\"seq\": " << entry.seq
-        << ", \"kind\": \""
-        << (entry.kind == FlightEntry::Kind::kSpan ? "span" : "event")
-        << "\", \"level\": " << JsonQuote(entry.level)
-        << ", \"tid\": " << (entry.thread_id % 1000000)
-        << ", \"span_id\": " << entry.span_id
-        << ", \"ts_us\": " << FormatDouble(entry.ts_us)
-        << ", \"name\": " << JsonQuote(entry.name)
-        << ", \"detail\": "
-        << (entry.detail.empty() ? "{}" : entry.detail) << "}";
+    out << (i > 0 ? "," : "") << "\n  " << flight_tail[i].ToJsonLine();
   }
   out << "\n],\n";
 
@@ -248,7 +217,7 @@ namespace {
 struct LiveParts {
   MetricsSnapshot metrics;
   std::vector<OpenSpanInfo> open_spans;
-  std::vector<FlightEntry> flight_tail;
+  std::vector<Event> flight_tail;
   WindowSummary window;
 };
 

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -28,24 +28,16 @@ std::string StatuszText(const StatuszOptions& options = {});
 std::string StatuszJson(const StatuszOptions& options = {});
 
 /// Section renderers over pre-loaded parts, shared by the live path
-/// above and tools/hlm_statusz (which reads the parts from dump files
-/// and has no live open-span table — it passes {}). The four-argument
-/// overloads add the "windowed" section (rates + windowed percentiles
-/// over a WindowSummary); the three-argument forms render an empty
-/// window, preserving the pre-window callers.
+/// above and tools/hlm_statusz (which reads the parts from dump files,
+/// has no live open-span table or time-series ring, and passes {} for
+/// both). The flight tail renders one Event::ToJsonLine per entry.
 std::string RenderStatuszText(const MetricsSnapshot& metrics,
                               const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail);
-std::string RenderStatuszJson(const MetricsSnapshot& metrics,
-                              const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail);
-std::string RenderStatuszText(const MetricsSnapshot& metrics,
-                              const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail,
+                              const std::vector<Event>& flight_tail,
                               const WindowSummary& window);
 std::string RenderStatuszJson(const MetricsSnapshot& metrics,
                               const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail,
+                              const std::vector<Event>& flight_tail,
                               const WindowSummary& window);
 
 }  // namespace hlm::obs

@@ -55,7 +55,7 @@ struct WindowSummary {
 };
 
 /// Pull-driven ring of periodic MetricsSnapshot deltas — the substrate
-/// behind the /statusz "windowed" section and hlm_top. No background
+/// behind /statusz's "windowed" section and hlm_statusz top. No background
 /// thread: callers (the serve watcher loop, the /statusz and /metricsz
 /// handlers, or a test driving synthetic timestamps) call Record() with
 /// a monotonic `now_s` and the current cumulative snapshot. Record()

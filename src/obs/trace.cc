@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "obs/events.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 
@@ -139,7 +140,16 @@ TraceRecorder& TraceRecorder::Global() {
 }
 
 void TraceRecorder::Record(TraceEvent event) {
-  FlightRecorder::Global().RecordSpanClose(event);
+  Event close;
+  close.ts_us = event.start_us;
+  close.level = EventLevel::kSpan;
+  close.name = event.name;
+  close.thread_id = event.thread_id;
+  close.span_id = event.span_id;
+  close.attrs = {{"duration_us", event.duration_us},
+                 {"parent_id", event.parent_id},
+                 {"depth", event.depth}};
+  FlightRecorder::Global().Record(std::move(close));
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back(std::move(event));
 }

@@ -14,8 +14,8 @@ struct HttpResponse {
 };
 
 /// Client-side deadlines. A stuck or wedged server must never hang
-/// hlm_loadgen, hlm_top, or a test forever: connect is bounded by a
-/// poll()-based non-blocking handshake, send/recv by SO_SNDTIMEO /
+/// hlm_loadgen, hlm_statusz top, or a test forever: connect is bounded
+/// by a poll()-based non-blocking handshake, send/recv by SO_SNDTIMEO /
 /// SO_RCVTIMEO. <= 0 disables that bound.
 struct HttpClientOptions {
   double connect_timeout_s = 5.0;
@@ -23,8 +23,8 @@ struct HttpClientOptions {
 };
 
 /// Minimal blocking HTTP/1.1 client over one keep-alive connection —
-/// exactly what hlm_loadgen, hlm_top, the serve bench suite, and the
-/// server tests need to drive Server without an external dependency.
+/// exactly what hlm_loadgen, hlm_statusz top, the serve bench suite, and
+/// the server tests need to drive Server without an external dependency.
 /// Not a general client: GET only, Content-Length responses only
 /// (which is all Server emits). An expired deadline surfaces as a
 /// kDeadlineExceeded status and poisons the connection like any other

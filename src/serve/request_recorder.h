@@ -11,7 +11,7 @@ namespace hlm::serve {
 
 /// The routes the serving endpoints break metrics down by. kOther
 /// absorbs 404s and anything unrouted so per-route counters always sum
-/// to the aggregate.
+/// to every request served.
 enum class Route {
   kRecommend = 0,
   kSimilar,

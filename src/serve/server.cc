@@ -282,20 +282,13 @@ struct Server::Impl {
   std::thread accept_thread;   // hlm-lint: allow(no-raw-thread)
   std::thread watcher_thread;
 
-  obs::Counter* requests_total = nullptr;
-  obs::Counter* errors_total = nullptr;
   obs::Counter* reloads_total = nullptr;
-  obs::Histogram* request_seconds = nullptr;
   obs::Gauge* generation_gauge = nullptr;
   std::unique_ptr<RequestRecorder> recorder;
 
   void InitMetrics() {
     obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-    requests_total = metrics.GetCounter("hlm.serve.http.requests_total");
-    errors_total = metrics.GetCounter("hlm.serve.http.errors_total");
     reloads_total = metrics.GetCounter("hlm.serve.server.reloads_total");
-    request_seconds =
-        metrics.GetHistogram("hlm.serve.http.request_seconds");
     generation_gauge = metrics.GetGauge("hlm.serve.server.generation");
     metrics.GetGauge("hlm.serve.server.port")
         ->Set(static_cast<double>(port));
@@ -542,8 +535,7 @@ struct Server::Impl {
       // time is not request latency) and closes before the response
       // hits the wire bookkeeping below.
       obs::TraceSpan span("serve.http.request");
-      obs::ScopedTimer timer(request_seconds);
-      requests_total->Increment();
+      const auto start = std::chrono::steady_clock::now();
       int code = 200;
       std::string content_type;
       std::string body;
@@ -560,9 +552,9 @@ struct Server::Impl {
         body = Dispatch(request.value(), &code, &content_type, &route,
                         &generation);
       }
-      if (code >= 400) errors_total->Increment();
-      const double elapsed_s = timer.Stop();
-      recorder->Record(route, code, elapsed_s, generation);
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - start;
+      recorder->Record(route, code, elapsed.count(), generation);
       if (!SendAll(fd, RenderResponse(code, content_type, body,
                                       keep_alive))) {
         break;

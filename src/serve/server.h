@@ -52,8 +52,8 @@ struct ServerConfig {
 ///   /v1/recommend?tokens=1,2&k=5    top-k next products, owned excluded
 ///   /v1/similar?company=7&k=5       nearest companies by representation
 ///
-/// Telemetry: every request is timed into the aggregate and per-route
-/// hlm.serve.http.* metrics (request_recorder.h), wrapped in a
+/// Telemetry: every request is timed into the per-route
+/// hlm.serve.http.<route>.* metrics (request_recorder.h), wrapped in a
 /// serve.http.request trace span, and tail-sampled into the flight
 /// recorder. The watcher thread (and the /statusz + /metricsz handlers)
 /// tick the global TimeSeriesCollector, so windowed QPS/latency appear

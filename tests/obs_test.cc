@@ -201,6 +201,15 @@ TEST(MetricsSnapshotTest, EmptySnapshotRoundTrips) {
 TEST(MetricsSnapshotTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(MetricsSnapshot::FromJson("not json").ok());
   EXPECT_FALSE(MetricsSnapshot::FromJson("{\"bogus\": {}}").ok());
+  // Malformed and overflowing numbers are corrupt input, not a crash.
+  for (const char* corrupt :
+       {"{\"counters\": {\"x\": -}}", "{\"gauges\": {\"g\": 1e999}}",
+        "{\"counters\": {\"x\": 1e300}}",
+        "{\"counters\": {\"x\": 1.5}}"}) {
+    Result<MetricsSnapshot> parsed = MetricsSnapshot::FromJson(corrupt);
+    ASSERT_FALSE(parsed.ok()) << corrupt;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss) << corrupt;
+  }
 }
 
 TEST(MetricsSnapshotTest, TextExportNamesEveryMetric) {
@@ -608,6 +617,61 @@ TEST(EventLogTest, WriteJsonlEmitsOneParseableLinePerEvent) {
   std::remove(path.c_str());
 }
 
+// The statusz `render --events` path: every field an events-JSONL line
+// carries reads back exactly, including escaped control characters and
+// quotes and a full 63-bit span id.
+TEST(EventLogTest, JsonlLinesReadBackFieldByField) {
+  EventLog log;
+  TraceRecorder::Global().Clear();
+  TraceRecorder::Global().Enable();
+  {
+    TraceSpan span("test.readback");
+    log.Emit(EventLevel::kWarning, "a\tb \"q\" \\ \x01z",
+             {{"s", std::string("ctl\x01\x1f\n\"q\"\\")},
+              {"i", -42},
+              {"d", 0.1},
+              {"b", true}});
+  }
+  log.Emit(EventLevel::kError, "plain", {{"zeta", "x"}, {"alpha", "y\tz"}});
+  TraceRecorder::Global().Disable();
+  TraceRecorder::Global().Clear();
+  const std::vector<Event> originals = log.Events();
+  ASSERT_EQ(originals.size(), 2u);
+  ASSERT_NE(originals[0].span_id, 0);
+
+  const std::string path = ::testing::TempDir() + "/events_readback.jsonl";
+  ASSERT_TRUE(log.WriteJsonl(path).ok());
+  std::ifstream in(path);
+  std::string line;
+  size_t i = 0;
+  for (; std::getline(in, line); ++i) {
+    ASSERT_LT(i, originals.size());
+    Result<Event> back = Event::FromJsonLine(line);
+    ASSERT_TRUE(back.ok()) << back.status() << " in " << line;
+    const Event& want = originals[i];
+    EXPECT_EQ(back->ts_us, want.ts_us);
+    EXPECT_EQ(back->level, want.level);
+    EXPECT_EQ(back->name, want.name);
+    EXPECT_EQ(back->thread_id, want.thread_id % 1000000)
+        << "lines carry the short tid the trace export uses";
+    EXPECT_EQ(back->span_id, want.span_id);
+    // JSON objects are unordered: compare attrs as key -> JSON token.
+    std::map<std::string, std::string> want_attrs, got_attrs;
+    for (const auto& [key, value] : want.attrs) {
+      want_attrs[key] = value.ToJson();
+    }
+    for (const auto& [key, value] : back->attrs) {
+      got_attrs[key] = value.ToJson();
+    }
+    EXPECT_EQ(got_attrs, want_attrs);
+  }
+  EXPECT_EQ(i, originals.size());
+  std::remove(path.c_str());
+
+  EXPECT_FALSE(Event::FromJsonLine("{\"name\": \"torn").ok());
+  EXPECT_FALSE(Event::FromJsonLine("[1, 2]").ok());
+}
+
 TEST(EventLogTest, MacroGatesAndCapturesCurrentSpan) {
   EventLog& log = EventLog::Global();
   log.Clear();
@@ -645,11 +709,10 @@ TEST(EventValueTest, SerializesEachKindAsBareJson) {
 
 // ------------------------------------------------------- Flight recorder
 
-FlightEntry MakeEntry(uint64_t tid, const std::string& name) {
-  FlightEntry entry;
+Event MakeEntry(uint64_t tid, const std::string& name) {
+  Event entry;
   entry.ts_us = NowMicros();
   entry.name = name;
-  entry.level = "info";
   entry.thread_id = tid;
   return entry;
 }
@@ -661,7 +724,7 @@ TEST(FlightRecorderTest, TailMergesStripesInAdmissionOrder) {
     recorder.Record(MakeEntry(static_cast<uint64_t>(i),
                               "test.entry." + std::to_string(i)));
   }
-  std::vector<FlightEntry> tail = recorder.Tail(5);
+  std::vector<Event> tail = recorder.Tail(5);
   ASSERT_EQ(tail.size(), 5u);
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(tail[i].name, "test.entry." + std::to_string(15 + i))
@@ -679,7 +742,7 @@ TEST(FlightRecorderTest, RingOverwritesOldestWithinAStripe) {
   for (size_t i = 0; i < n; ++i) {
     recorder.Record(MakeEntry(3, "test.ring." + std::to_string(i)));
   }
-  std::vector<FlightEntry> tail = recorder.Tail(n);
+  std::vector<Event> tail = recorder.Tail(n);
   ASSERT_EQ(tail.size(), FlightRecorder::kPerStripe);
   EXPECT_EQ(tail.front().name,
             "test.ring." + std::to_string(FlightRecorder::kPerStripe));
@@ -688,17 +751,28 @@ TEST(FlightRecorderTest, RingOverwritesOldestWithinAStripe) {
 
 TEST(FlightRecorderTest, ToJsonCarriesRunIdEntriesAndDetail) {
   FlightRecorder recorder;
-  FlightEntry entry = MakeEntry(1, "test.detail");
-  entry.detail = "{\"sweep\": 3}";
+  Event entry = MakeEntry(1, "test.detail");
+  entry.attrs.emplace_back("sweep", 3);
   recorder.Record(entry);
-  recorder.Record(MakeEntry(2, "test.plain"));  // empty detail
+  recorder.Record(MakeEntry(2, "test.plain"));  // no attrs
   std::string json = recorder.ToJson();
   EXPECT_NE(json.find("\"run_id\""), std::string::npos);
-  EXPECT_NE(json.find("\"entries\""), std::string::npos);
-  EXPECT_NE(json.find("\"detail\": {\"sweep\": 3}"), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"test.plain\""), std::string::npos);
-  EXPECT_EQ(json.find("\"detail\": ,"), std::string::npos)
-      << "empty detail must render as an object, not vanish";
+  EXPECT_NE(json.find("\"attrs\": {\"sweep\": 3}"), std::string::npos);
+  EXPECT_NE(json.find("\"attrs\": {}"), std::string::npos)
+      << "empty attrs must render as an object, not vanish";
+  // Every entry is an events-JSONL line plus its admission seq.
+  Result<JsonValue> doc = JsonValue::Parse(json);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const JsonValue* entries = doc->Find("entries");
+  ASSERT_NE(entries, nullptr);
+  ASSERT_EQ(entries->size(), 2u);
+  for (const JsonValue& item : entries->array()) {
+    for (const char* key :
+         {"seq", "ts_us", "level", "name", "tid", "span_id", "attrs"}) {
+      EXPECT_NE(item.Find(key), nullptr) << key;
+    }
+  }
+  EXPECT_EQ(entries->At(1)->Find("name")->AsString(), "test.plain");
 }
 
 TEST(FlightRecorderTest, GlobalSeesEventsAndSpanCloses) {
@@ -713,13 +787,19 @@ TEST(FlightRecorderTest, GlobalSeesEventsAndSpanCloses) {
   TraceRecorder::Global().Clear();
 
   bool saw_span = false, saw_event = false;
-  for (const FlightEntry& entry : recorder.Tail(16)) {
+  for (const Event& entry : recorder.Tail(16)) {
     if (entry.name == "test.flight.span") {
       saw_span = true;
-      EXPECT_EQ(entry.level, "span");
-      EXPECT_EQ(entry.kind, FlightEntry::Kind::kSpan);
+      EXPECT_EQ(entry.level, EventLevel::kSpan);
+      ASSERT_EQ(entry.attrs.size(), 3u);
+      EXPECT_EQ(entry.attrs[0].first, "duration_us");
+      EXPECT_NE(entry.ToJsonLine().find("\"level\": \"span\""),
+                std::string::npos);
     }
-    if (entry.name == "test.flight.event") saw_event = true;
+    if (entry.name == "test.flight.event") {
+      saw_event = true;
+      EXPECT_EQ(entry.level, EventLevel::kInfo);
+    }
   }
   EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_event);
@@ -796,16 +876,15 @@ TEST(StatuszTest, RenderersWorkFromDetachedParts) {
   OpenSpanInfo open;
   open.span_id = 42;
   open.name = "test.render.span";
-  FlightEntry entry;
+  Event entry;
   entry.name = "test.render.event";
-  entry.level = "info";
   std::string text =
-      RenderStatuszText(registry.Snapshot(), {open}, {entry});
+      RenderStatuszText(registry.Snapshot(), {open}, {entry}, {});
   EXPECT_NE(text.find("hlm.render.x_total"), std::string::npos);
   EXPECT_NE(text.find("test.render.span"), std::string::npos);
   EXPECT_NE(text.find("test.render.event"), std::string::npos);
   std::string json =
-      RenderStatuszJson(registry.Snapshot(), {open}, {entry});
+      RenderStatuszJson(registry.Snapshot(), {open}, {entry}, {});
   EXPECT_NE(json.find("\"hlm.render.x_total\": 9"), std::string::npos);
 }
 

@@ -1,12 +1,13 @@
 // Tests for the live-telemetry substrate: the time-series delta ring
 // (obs/timeseries.h), the Prometheus text exposition renderer +
 // validator (obs/exposition.h), and the generic JSON document parser
-// (obs/json.h) that hlm_top uses to consume /statusz. The collector
-// tests drive synthetic timestamps through Record() directly, so they
-// are fully deterministic — no sleeping, no wall clock.
+// (obs/json.h) that hlm_statusz top uses to consume /statusz. The
+// collector tests drive synthetic timestamps through Record() directly,
+// so they are fully deterministic — no sleeping, no wall clock.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -326,6 +327,21 @@ TEST(JsonValueTest, CoercionFallbacks) {
   const JsonValue& doc = parsed.value();
   EXPECT_DOUBLE_EQ(doc.Find("s")->AsNumber(7.0), 7.0);
   EXPECT_EQ(doc.Find("n")->AsString("fallback"), "fallback");
+  EXPECT_EQ(doc.Find("n")->AsInteger(), 4);
+  EXPECT_EQ(doc.Find("s")->AsInteger(), std::nullopt);
+}
+
+TEST(JsonValueTest, IntegerLiteralsKeepEveryBit) {
+  // 2^62 + 1 is not representable as a double; span ids use 63 bits.
+  auto parsed = JsonValue::Parse(
+      "[4611686018427387905, -7, 2.5, 1e3, 9223372036854775808]");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue& doc = parsed.value();
+  EXPECT_EQ(doc.At(0)->AsInteger(), 4611686018427387905LL);
+  EXPECT_EQ(doc.At(1)->AsInteger(), -7);
+  EXPECT_EQ(doc.At(2)->AsInteger(), std::nullopt) << "fraction";
+  EXPECT_EQ(doc.At(3)->AsInteger(), 1000) << "integral exponent form";
+  EXPECT_EQ(doc.At(4)->AsInteger(), std::nullopt) << "past int64";
 }
 
 TEST(JsonValueTest, RejectsMalformedAndHostileInput) {
@@ -333,6 +349,7 @@ TEST(JsonValueTest, RejectsMalformedAndHostileInput) {
   EXPECT_FALSE(JsonValue::Parse("{\"a\": }").ok());
   EXPECT_FALSE(JsonValue::Parse("{} trailing").ok());
   EXPECT_FALSE(JsonValue::Parse("{\"a\": 1").ok());
+  EXPECT_FALSE(JsonValue::Parse("[1e999]").ok()) << "JSON has no inf";
   // Depth bomb: 200 nested arrays exceeds the 128-level cap.
   std::string bomb(200, '[');
   bomb += std::string(200, ']');

@@ -155,10 +155,10 @@ void RunServeRegistry(const models::LdaModel& lda,
 /// model set, boot hlm::serve::Server on it, drive a fixed request mix
 /// over one keep-alive connection, hot-swap a republished generation,
 /// and drive the new generation. Request counts and the reload counter
-/// are deterministic (exact-compare); per-request latencies land in
-/// hlm.serve.http.request_seconds, whose percentiles export with the
-/// standard `_seconds` summary and whose wall time is gated through the
-/// serve_requests phase walltime.
+/// are deterministic (exact-compare); per-request latencies land in the
+/// per-route hlm.serve.http.<route>.request_seconds histograms, whose
+/// percentiles export with the standard `_seconds` summary and whose
+/// wall time is gated through the serve_requests phase walltime.
 void RunServeSuite(const SuiteEnv& env, const std::string& run_id) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   const int vocab = env.world.corpus.num_categories();
