@@ -262,7 +262,8 @@ echo "== tier1: serve stage (hlm_serve + hlm_loadgen + hot reload) =="
 # ephemeral port, hammer it closed-loop while republishing the manifest
 # three times (each touch is one hot-swapped generation), and require
 # zero failed requests, monotone generations, at least 3 distinct
-# generations observed, and >= 5k QPS sustained through the swaps.
+# generations observed, and >= 5k QPS sustained through the swaps; then
+# churn 3,000 one-request connections and require flat threads/VmSize.
 SERVE_DIR="$(mktemp -d /tmp/hlm_tier1_serve.XXXXXX)"
 CLEANUP_PATHS+=("$SERVE_DIR")
 "$BUILD_DIR/tools/hlm_snapshot" save --dir "$SERVE_DIR" \
@@ -351,11 +352,36 @@ for needle in "hlm_top" "endpoint" "recommend"; do
   grep -q "$needle" "$SERVE_DIR/top.txt" ||
     { echo "hlm_statusz top --once output missing: $needle" >&2; exit 1; }
 done
+# Connection churn must leave the daemon flat: 3,000 requests, each on a
+# fresh connection, are served by reused pooled workers (at most 64),
+# so the thread count and the address space stay bounded. One thread
+# per connection would map an 8 MB stack per request (about 24 GB here).
+serve_status_field() {
+  awk -v field="$1:" '$1 == field { print $2 }' "/proc/$SERVE_PID/status"
+}
+THREADS_BEFORE="$(serve_status_field Threads)"
+VM_KB_BEFORE="$(serve_status_field VmSize)"
+"$BUILD_DIR/tools/hlm_loadgen" --port "$SERVE_PORT" --mode closed \
+  --connections 1 --requests_per_connection 3000 --no_keepalive
+THREADS_AFTER="$(serve_status_field Threads)"
+VM_KB_AFTER="$(serve_status_field VmSize)"
+if [ "$THREADS_AFTER" -gt $((THREADS_BEFORE + 64)) ]; then
+  echo "connection churn grew hlm_serve from $THREADS_BEFORE to" \
+    "$THREADS_AFTER threads" >&2
+  exit 1
+fi
+if [ $((VM_KB_AFTER - VM_KB_BEFORE)) -ge $((256 * 1024)) ]; then
+  echo "connection churn grew hlm_serve VmSize from $VM_KB_BEFORE kB to" \
+    "$VM_KB_AFTER kB" >&2
+  exit 1
+fi
+echo "ok: churn of 3000 connections: threads $THREADS_BEFORE ->" \
+  "$THREADS_AFTER, VmSize $VM_KB_BEFORE -> $VM_KB_AFTER kB"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
 echo "ok: hot reloads under load, loadgen report, metricsz validates," \
-  "windowed statusz, hlm_statusz top renders"
+  "windowed statusz, hlm_statusz top renders, churn stays flat"
 
 echo "== tier1: bench regression check (serve suite) =="
 "$BUILD_DIR/tools/hlm_bench" --suite serve --out none --check \
@@ -372,8 +398,9 @@ if sanitizer_usable thread; then
   echo "== tier1: tsan run =="
   "$TSAN_BUILD_DIR/tests/parallel_test"
   "$TSAN_BUILD_DIR/tests/obs_test"
-  # The hot-reload race test under TSan certifies the atomic
-  # snapshot-swap protocol (DESIGN.md "Serving").
+  # server_test under TSan certifies the snapshot-swap protocol (the
+  # hot-reload race test) and the connection pool's handoff, idle
+  # timeout and Stop() (DESIGN.md "Serving").
   "$TSAN_BUILD_DIR/tests/server_test"
 else
   echo "toolchain cannot build/run -fsanitize=thread; skipping tsan stage"

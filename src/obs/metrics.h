@@ -36,7 +36,9 @@ class Counter {
   std::atomic<long long> value_{0};
 };
 
-/// Last-write-wins instantaneous value (e.g. current log-likelihood).
+/// Instantaneous value: Set is last-write-wins (e.g. current
+/// log-likelihood); Adjust moves a level that several threads share
+/// (e.g. open connections).
 class Gauge {
  public:
   Gauge() = default;
@@ -44,6 +46,9 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void Set(double value) { value_.store(value, std::memory_order_relaxed); }
+  void Adjust(double delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

@@ -39,6 +39,12 @@ Status IoError(const std::string& what, double timeout_s, ssize_t n) {
   return TransportError(what);
 }
 
+/// A failed send/recv that means the peer closed or reset the
+/// connection, as opposed to a deadline or a local fault.
+bool PeerGone(ssize_t n) {
+  return n == 0 || errno == ECONNRESET || errno == EPIPE;
+}
+
 struct ::timeval ToTimeval(double seconds) {
   struct ::timeval tv;
   tv.tv_sec = static_cast<time_t>(seconds);
@@ -112,7 +118,7 @@ Result<HttpClient> HttpClient::Connect(const std::string& host, int port,
   }
   int nodelay = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-  return HttpClient(fd, options.io_timeout_s);
+  return HttpClient(fd, host, port, options);
 }
 
 HttpClient::~HttpClient() {
@@ -121,7 +127,11 @@ HttpClient::~HttpClient() {
 
 HttpClient::HttpClient(HttpClient&& other) noexcept
     : fd_(other.fd_),
-      io_timeout_s_(other.io_timeout_s_),
+      host_(std::move(other.host_)),
+      port_(other.port_),
+      options_(other.options_),
+      answered_(other.answered_),
+      reconnects_(other.reconnects_),
       buffer_(std::move(other.buffer_)) {
   other.fd_ = -1;
 }
@@ -130,7 +140,11 @@ HttpClient& HttpClient::operator=(HttpClient&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
-    io_timeout_s_ = other.io_timeout_s_;
+    host_ = std::move(other.host_);
+    port_ = other.port_;
+    options_ = other.options_;
+    answered_ = other.answered_;
+    reconnects_ = other.reconnects_;
     buffer_ = std::move(other.buffer_);
     other.fd_ = -1;
   }
@@ -142,11 +156,34 @@ Result<HttpResponse> HttpClient::Get(const std::string& path) {
   const std::string request = "GET " + path +
                               " HTTP/1.1\r\nHost: hlm\r\n"
                               "Connection: keep-alive\r\n\r\n";
+  bool peer_gone = false;
+  Result<HttpResponse> response = Exchange(request, &peer_gone);
+  if (!response.ok() && peer_gone && answered_) {
+    // The server closed this keep-alive connection between requests
+    // (its idle timeout) and never saw the request; a GET is safe to
+    // send again, once, on a fresh connection.
+    HLM_ASSIGN_OR_RETURN(HttpClient fresh, Connect(host_, port_, options_));
+    std::swap(fd_, fresh.fd_);  // `fresh` closes the dead socket
+    buffer_.clear();
+    answered_ = false;
+    ++reconnects_;
+    response = Exchange(request, &peer_gone);
+  }
+  if (response.ok()) answered_ = true;
+  return response;
+}
+
+Result<HttpResponse> HttpClient::Exchange(const std::string& request,
+                                          bool* peer_gone) {
+  const double io_timeout_s = options_.io_timeout_s;
   size_t sent = 0;
   while (sent < request.size()) {
     ssize_t n = ::send(fd_, request.data() + sent, request.size() - sent,
                        MSG_NOSIGNAL);
-    if (n <= 0) return IoError("send", io_timeout_s_, n);
+    if (n <= 0) {
+      *peer_gone = PeerGone(n);
+      return IoError("send", io_timeout_s, n);
+    }
     sent += static_cast<size_t>(n);
   }
 
@@ -155,7 +192,10 @@ Result<HttpResponse> HttpClient::Get(const std::string& path) {
   while ((head_end = buffer_.find("\r\n\r\n")) == std::string::npos) {
     char chunk[4096];
     ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) return IoError("recv (headers)", io_timeout_s_, n);
+    if (n <= 0) {
+      *peer_gone = buffer_.empty() && PeerGone(n);
+      return IoError("recv (headers)", io_timeout_s, n);
+    }
     buffer_.append(chunk, static_cast<size_t>(n));
   }
   const std::string head = buffer_.substr(0, head_end);
@@ -201,7 +241,7 @@ Result<HttpResponse> HttpClient::Get(const std::string& path) {
   while (buffer_.size() < static_cast<size_t>(content_length)) {
     char chunk[4096];
     ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) return IoError("recv (body)", io_timeout_s_, n);
+    if (n <= 0) return IoError("recv (body)", io_timeout_s, n);
     buffer_.append(chunk, static_cast<size_t>(n));
   }
   response.body = buffer_.substr(0, static_cast<size_t>(content_length));

@@ -28,7 +28,9 @@ struct HttpClientOptions {
 /// Not a general client: GET only, Content-Length responses only
 /// (which is all Server emits). An expired deadline surfaces as a
 /// kDeadlineExceeded status and poisons the connection like any other
-/// transport failure.
+/// transport failure. The server closes a keep-alive connection that
+/// idles past its timeout, so Get() reconnects when it finds a reused
+/// connection closed (see Get).
 class HttpClient {
  public:
   /// Opens a TCP connection to host:port (host is a dotted-quad
@@ -44,17 +46,34 @@ class HttpClient {
   HttpClient& operator=(const HttpClient&) = delete;
 
   /// Issues one GET on the persistent connection and reads the full
-  /// response. Any transport or parse failure poisons the connection
+  /// response. When the connection has already answered a request and
+  /// the peer turns out to have closed or reset it before any byte of
+  /// this response, the GET is sent once more on a fresh connection.
+  /// Any other transport or parse failure poisons the connection
   /// (callers reconnect).
   Result<HttpResponse> Get(const std::string& path);
 
+  /// How many times Get() resent a request on a fresh connection. A
+  /// client that never idles past the server's timeout expects 0.
+  long long reconnects() const { return reconnects_; }
+
  private:
-  explicit HttpClient(int fd, double io_timeout_s)
-      : fd_(fd), io_timeout_s_(io_timeout_s) {}
+  HttpClient(int fd, const std::string& host, int port,
+             const HttpClientOptions& options)
+      : fd_(fd), host_(host), port_(port), options_(options) {}
+
+  /// Sends `request` and reads one response on fd_. Sets `*peer_gone`
+  /// when the failure is a peer close or reset seen before any
+  /// response byte.
+  Result<HttpResponse> Exchange(const std::string& request, bool* peer_gone);
 
   int fd_ = -1;
-  double io_timeout_s_ = 0.0;  // for deadline-specific error text
-  std::string buffer_;         // bytes read past the previous response
+  std::string host_;  // where Get() reconnects
+  int port_ = 0;
+  HttpClientOptions options_;
+  bool answered_ = false;  // fd_ has carried a complete response
+  long long reconnects_ = 0;
+  std::string buffer_;     // bytes read past the previous response
 };
 
 }  // namespace hlm::serve

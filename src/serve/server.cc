@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -122,6 +123,7 @@ const char* HttpStatusText(int code) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 503: return "Service Unavailable";
     default: return "Internal Server Error";
   }
 }
@@ -142,6 +144,7 @@ bool SendAll(int fd, const std::string& data) {
   while (sent < data.size()) {
     ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
                        MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
     sent += static_cast<size_t>(n);
   }
@@ -150,7 +153,9 @@ bool SendAll(int fd, const std::string& data) {
 
 /// Reads one request's header block ("\r\n\r\n"-terminated) from a
 /// keep-alive socket. `buffer` carries bytes read past the previous
-/// request's terminator. Returns false on EOF/error/oversized header.
+/// request's terminator. Returns false on EOF, error, idle timeout
+/// (EAGAIN under SO_RCVTIMEO) or an oversized header; a signal
+/// (EINTR) is retried.
 bool ReadRequestHead(int fd, std::string& buffer, std::string& head) {
   constexpr size_t kMaxHead = 64 * 1024;
   while (true) {
@@ -163,6 +168,7 @@ bool ReadRequestHead(int fd, std::string& buffer, std::string& head) {
     if (buffer.size() > kMaxHead) return false;
     char chunk[4096];
     ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
     buffer.append(chunk, static_cast<size_t>(n));
   }
@@ -242,6 +248,12 @@ std::string JsonError(const Status& status) {
   return "{\"error\":" + obs::JsonQuote(status.message()) + "}";
 }
 
+/// How long the acceptor waits for a worker to come free before it
+/// answers a connection at the cap with 503. Covers a worker that is
+/// still reading its departed client's EOF, with room for a loaded or
+/// sanitizer-slowed host.
+constexpr std::chrono::milliseconds kRejectGrace(50);
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -264,11 +276,26 @@ struct Server::Impl {
 
   std::atomic<bool> stopping{false};
 
-  /// Guards conn_fds/conn_threads (serving-side bookkeeping only; never
-  /// held while answering a request).
+  /// One pooled connection worker: created by the acceptor when no
+  /// worker is idle, reused until Stop(). `handed_fd` and `active_fd`
+  /// are guarded by conn_mu.
+  struct Worker {
+    std::thread thread;  // hlm-lint: allow(no-raw-thread)
+    std::condition_variable wake;  // hlm-lint: allow(lock-discipline)
+    int handed_fd = -1;  // accepted and handed over, not yet picked up
+    int active_fd = -1;  // being served; Stop() shuts it down
+  };
+
+  /// Guards the pool (serving-side bookkeeping only; never held while
+  /// answering a request). Only the acceptor appends to `workers`.
   std::mutex conn_mu;  // hlm-lint: allow(lock-discipline)
-  std::vector<int> conn_fds;
-  std::vector<std::thread> conn_threads;  // hlm-lint: allow(no-raw-thread)
+  std::vector<std::unique_ptr<Worker>> workers;
+  /// Idle workers, most recently idled last: a handoff pops the back,
+  /// so a light load keeps reusing one thread (and one malloc arena).
+  std::vector<Worker*> idle;
+  /// Signalled when a worker rejoins `idle`; the acceptor waits on it
+  /// briefly before answering 503 at the cap.
+  std::condition_variable worker_idled;  // hlm-lint: allow(lock-discipline)
 
   /// Serializes reload attempts (watcher vs. explicit ReloadIfChanged)
   /// and guards last_attempt.
@@ -283,13 +310,19 @@ struct Server::Impl {
   std::thread watcher_thread;
 
   obs::Counter* reloads_total = nullptr;
+  obs::Counter* connections_rejected_total = nullptr;
   obs::Gauge* generation_gauge = nullptr;
+  obs::Gauge* connections_open = nullptr;
   std::unique_ptr<RequestRecorder> recorder;
 
   void InitMetrics() {
     obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
     reloads_total = metrics.GetCounter("hlm.serve.server.reloads_total");
+    connections_rejected_total =
+        metrics.GetCounter("hlm.serve.server.connections_rejected_total");
     generation_gauge = metrics.GetGauge("hlm.serve.server.generation");
+    connections_open =
+        metrics.GetGauge("hlm.serve.server.connections_open");
     metrics.GetGauge("hlm.serve.server.port")
         ->Set(static_cast<double>(port));
     RequestRecorderOptions recorder_options;
@@ -526,6 +559,8 @@ struct Server::Impl {
     return JsonError(Status::NotFound("no such endpoint: " + request.path));
   }
 
+  /// Answers requests on `fd` until the client leaves, errs, asks to
+  /// close, or idles out. The calling worker owns and closes `fd`.
   void ServeConnection(int fd) {
     std::string buffer;
     while (!stopping.load(std::memory_order_relaxed)) {
@@ -561,25 +596,115 @@ struct Server::Impl {
       }
       if (!keep_alive) break;
     }
+  }
+
+  /// One pooled worker: waits for a handed-over socket, serves it until
+  /// the client leaves (or idles out), closes it, and goes back on top
+  /// of the idle stack. Returns at Stop().
+  void WorkerLoop(Worker* worker) {
+    std::unique_lock<std::mutex> lock(conn_mu);  // hlm-lint: allow(lock-discipline)
+    while (true) {
+      worker->wake.wait(lock, [this, worker] {
+        return worker->handed_fd >= 0 ||
+               stopping.load(std::memory_order_relaxed);
+      });
+      if (worker->handed_fd < 0) return;  // Stop() closed anything pending
+      const int fd = worker->handed_fd;
+      worker->handed_fd = -1;
+      worker->active_fd = fd;
+      lock.unlock();
+      ServeConnection(fd);
+      connections_open->Adjust(-1.0);
+      lock.lock();
+      worker->active_fd = -1;
+      ::close(fd);
+      if (stopping.load(std::memory_order_relaxed)) return;
+      idle.push_back(worker);
+      worker_idled.notify_one();
+    }
+  }
+
+  /// Answers a connection the pool has no room for: a fixed 503 that
+  /// never blocks the acceptor, then close.
+  void Reject(int fd) {
+    static const std::string kBusy =
+        RenderResponse(503, "application/json",
+                       "{\"error\":\"server at max_connections\"}", false);
+    connections_rejected_total->Increment();
+    ::send(fd, kBusy.data(), kBusy.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
     ::close(fd);
   }
 
   void AcceptLoop() {
-    while (!stopping.load(std::memory_order_relaxed)) {
-      int fd = ::accept(listen_fd, nullptr, nullptr);
+    struct ::timeval idle_timeout;
+    idle_timeout.tv_sec = static_cast<time_t>(config.idle_timeout_s);
+    idle_timeout.tv_usec = static_cast<suseconds_t>(
+        (config.idle_timeout_s - static_cast<double>(idle_timeout.tv_sec)) *
+        1e6);
+    // Start() rejects idle_timeout_s <= 0; a zero timeval would mean "no
+    // timeout", so a sub-microsecond value rounds up to 1 us.
+    if (idle_timeout.tv_sec == 0 && idle_timeout.tv_usec == 0) {
+      idle_timeout.tv_usec = 1;
+    }
+    while (true) {
+      int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
       if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;  // listen socket shut down (Stop) or fatal error
+        if (stopping.load(std::memory_order_relaxed)) return;
+        if (errno == EINTR || errno == ECONNABORTED) continue;
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+          // Out of fds or memory for now: back off instead of spinning
+          // or giving up on the listen socket.
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          continue;
+        }
+        HLM_LOG(Error) << "accept failed; no longer accepting: "
+                       << std::strerror(errno);
+        return;
       }
       int nodelay = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-      std::lock_guard<std::mutex> lock(conn_mu);  // hlm-lint: allow(lock-discipline)
-      if (stopping.load(std::memory_order_relaxed)) {
-        ::close(fd);
-        break;
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &idle_timeout,
+                   sizeof(idle_timeout));
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &idle_timeout,
+                   sizeof(idle_timeout));
+      Worker* worker = nullptr;
+      {
+        std::unique_lock<std::mutex> lock(conn_mu);  // hlm-lint: allow(lock-discipline)
+        if (idle.empty() &&
+            static_cast<int>(workers.size()) >= config.max_connections) {
+          // A worker that has sent its client's last response may not
+          // have read that client's EOF yet, so a client that closes and
+          // reconnects at once would find the pool full. Give such a
+          // worker a moment before answering 503.
+          worker_idled.wait_for(lock, kRejectGrace, [this] {
+            return !idle.empty() || stopping.load(std::memory_order_relaxed);
+          });
+        }
+        if (stopping.load(std::memory_order_relaxed)) {
+          ::close(fd);
+          return;
+        }
+        if (!idle.empty()) {
+          worker = idle.back();
+          idle.pop_back();
+        } else if (static_cast<int>(workers.size()) <
+                   config.max_connections) {
+          workers.push_back(std::make_unique<Worker>());
+          worker = workers.back().get();
+          worker->thread =  // hlm-lint: allow(no-raw-thread)
+              std::thread([this, worker] { WorkerLoop(worker); });
+        }
+        if (worker != nullptr) {
+          worker->handed_fd = fd;
+          connections_open->Adjust(1.0);
+        }
       }
-      conn_fds.push_back(fd);
-      conn_threads.emplace_back([this, fd] { ServeConnection(fd); });
+      if (worker == nullptr) {
+        Reject(fd);
+      } else {
+        worker->wake.notify_one();
+      }
     }
   }
 
@@ -604,24 +729,36 @@ struct Server::Impl {
   }
 
   void Stop() {
-    if (stopping.exchange(true)) return;
+    {
+      // Under conn_mu every fd has exactly one owner: a worker serving
+      // it (shut down here, closed by that worker), a pending handoff
+      // (closed here), or nobody (already closed -- never touched, so a
+      // reused fd number is safe).
+      std::lock_guard<std::mutex> lock(conn_mu);  // hlm-lint: allow(lock-discipline)
+      if (stopping.exchange(true)) return;
+      worker_idled.notify_one();  // an acceptor waiting at the cap
+      for (const std::unique_ptr<Worker>& worker : workers) {
+        if (worker->active_fd >= 0) ::shutdown(worker->active_fd, SHUT_RDWR);
+        if (worker->handed_fd >= 0) {
+          ::close(worker->handed_fd);
+          worker->handed_fd = -1;
+          connections_open->Adjust(-1.0);
+        }
+        worker->wake.notify_one();
+      }
+    }
     {
       std::lock_guard<std::mutex> lock(watcher_mu);  // hlm-lint: allow(lock-discipline)
     }
     watcher_cv.notify_all();
-    // Shut down the listen socket to kick accept() out of its block,
-    // then every connection socket to kick recv() out of its block.
+    // Shut down the listen socket to kick accept() out of its block.
     if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
-    {
-      std::lock_guard<std::mutex> lock(conn_mu);  // hlm-lint: allow(lock-discipline)
-      for (int fd : conn_fds) ::shutdown(fd, SHUT_RDWR);
-    }
     if (accept_thread.joinable()) accept_thread.join();
     if (watcher_thread.joinable()) watcher_thread.join();
-    // After the accept loop exited no new connection threads can start;
-    // conn_threads is stable now.
-    for (std::thread& conn : conn_threads) {  // hlm-lint: allow(no-raw-thread)
-      if (conn.joinable()) conn.join();
+    // The acceptor alone grows the pool; with it joined, `workers` is
+    // stable.
+    for (const std::unique_ptr<Worker>& worker : workers) {
+      if (worker->thread.joinable()) worker->thread.join();
     }
     if (listen_fd >= 0) {
       ::close(listen_fd);
@@ -639,6 +776,14 @@ Result<std::unique_ptr<Server>> Server::Start(const ServerConfig& config) {
   if (config.manifest_path.empty()) {
     return obs::TrackError(
         "serve", Status::InvalidArgument("manifest_path must be set"));
+  }
+  if (config.max_connections < 1) {
+    return obs::TrackError(
+        "serve", Status::InvalidArgument("max_connections must be >= 1"));
+  }
+  if (!(config.idle_timeout_s > 0)) {
+    return obs::TrackError(
+        "serve", Status::InvalidArgument("idle_timeout_s must be > 0"));
   }
   std::unique_ptr<Server> server(new Server());
   Impl& impl = *server->impl_;

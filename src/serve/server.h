@@ -36,6 +36,18 @@ struct ServerConfig {
   /// 1 in `trace_sample_every` of the rest is kept too.
   double slow_request_threshold_s = 0.25;
   long long trace_sample_every = 100;
+
+  /// Cap on connection workers, and so on connections served at once.
+  /// A connection accepted while every worker stays busy for a further
+  /// 50 ms gets a 503 with `Connection: close` and counts in
+  /// hlm.serve.server.connections_rejected_total. Must be >= 1.
+  int max_connections = 64;
+
+  /// A connection that sends nothing for this long is closed, freeing
+  /// its worker (SO_RCVTIMEO/SO_SNDTIMEO on the accepted socket), so
+  /// keep-alive clients must be ready to reconnect (HttpClient does).
+  /// Must be > 0.
+  double idle_timeout_s = 5.0;
 };
 
 /// Online recommendation server over a model-registry snapshot
@@ -59,14 +71,19 @@ struct ServerConfig {
 /// tick the global TimeSeriesCollector, so windowed QPS/latency appear
 /// whenever the server runs with a watcher or is scraped periodically.
 ///
-/// Read path: every request loads one immutable snapshot bundle
-/// (registry + eagerly-loaded models + similarity index) through an
-/// atomic shared_ptr — no lock is taken while answering. A watcher
-/// thread polls the manifest (mtime + content hash) and atomically
-/// swaps in a freshly loaded bundle; in-flight requests keep their old
+/// Read path: every request copies the shared_ptr to one immutable
+/// snapshot bundle (registry + eagerly-loaded models + similarity
+/// index) under a mutex whose critical section is that refcount bump;
+/// nothing else is locked while answering. A watcher thread polls the
+/// manifest (mtime + content hash) and publishes a freshly loaded
+/// bundle under the same mutex; in-flight requests keep their old
 /// bundle alive, so generations can roll with zero dropped requests.
 /// A manifest that fails to load is counted and skipped — the server
 /// keeps answering from the previous generation.
+///
+/// Threading: one acceptor thread hands each accepted socket to the
+/// most recently idled pooled worker, growing the pool lazily up to
+/// config.max_connections (DESIGN.md §14 "Threading").
 class Server {
  public:
   /// Loads the initial snapshot, binds + listens, and starts the

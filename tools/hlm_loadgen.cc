@@ -5,7 +5,7 @@
 //               [--connections N] [--requests_per_connection N]
 //               [--qps Q] [--duration_s S] [--path /statusz]
 //               [--min_qps Q] [--check_generations]
-//               [--expect_min_generations N]
+//               [--expect_min_generations N] [--no_keepalive]
 //
 // Modes:
 //   closed  N connections, each issuing requests back-to-back
@@ -15,6 +15,13 @@
 //           under a fixed offered load, not under back-pressure.
 //   once    one GET of --path; prints the body (curl-free statusz
 //           probe for scripts).
+//
+// --no_keepalive opens a fresh connection for every closed/open
+// request and closes it after the response (connection churn); the
+// request latency then includes the connect. A keep-alive connection
+// the server closes after its idle timeout is reopened by HttpClient;
+// in closed mode, where connections never idle, that counts as a
+// failure.
 //
 // Every closed/open request cycles /v1/recommend -> /v1/similar ->
 // /v1/topics. Responses must be HTTP 200; with --check_generations the
@@ -96,6 +103,7 @@ struct RunConfig {
   double qps = 0.0;  // open loop: aggregate offered load
   int connections = 1;
   bool check_generations = false;
+  bool no_keepalive = false;
 };
 
 void RunWorker(const RunConfig& config, int worker_index,
@@ -107,11 +115,13 @@ void RunWorker(const RunConfig& config, int worker_index,
     ++stats->failures;
     if (stats->first_error.empty()) stats->first_error = error;
   };
-  hlm::Result<HttpClient> client =
-      HttpClient::Connect(config.host, config.port);
-  if (!client.ok()) {
-    fail(client.status().ToString());
-    return;
+  hlm::Result<HttpClient> client = hlm::Status::Internal("not connected");
+  if (!config.no_keepalive) {
+    client = HttpClient::Connect(config.host, config.port);
+    if (!client.ok()) {
+      fail(client.status().ToString());
+      return;
+    }
   }
   const auto start = std::chrono::steady_clock::now();
   const auto deadline =
@@ -144,7 +154,19 @@ void RunWorker(const RunConfig& config, int worker_index,
       }
     }
     const auto request_start = std::chrono::steady_clock::now();
-    hlm::Result<HttpResponse> response = client.value().Get(RequestPath(i));
+    if (config.no_keepalive) {
+      client = HttpClient::Connect(config.host, config.port);
+    }
+    const long long reconnects_before =
+        client.ok() ? client.value().reconnects() : 0;
+    hlm::Result<HttpResponse> response =
+        client.ok() ? client.value().Get(RequestPath(i))
+                    : hlm::Result<HttpResponse>(client.status());
+    // A closed-loop connection never idles, so the server must not have
+    // closed it; an open-loop one may outwait the server's idle timeout.
+    const bool dropped = !config.open_loop && client.ok() &&
+                         client.value().reconnects() > reconnects_before;
+    if (config.no_keepalive) client = hlm::Status::Internal("closed");
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - request_start;
     latency->Observe(elapsed.count());
@@ -153,6 +175,7 @@ void RunWorker(const RunConfig& config, int worker_index,
       fail(response.status().ToString());
       return;  // transport is poisoned; stop this connection
     }
+    if (dropped) fail("server closed a busy keep-alive connection");
     if (response.value().status_code != 200) {
       fail("HTTP " + std::to_string(response.value().status_code) + ": " +
            response.value().body);
@@ -266,6 +289,7 @@ int main(int argc, char** argv) {
   double qps = 0.0;
   double min_qps = 0.0;
   bool check_generations = false;
+  bool no_keepalive = false;
   long long expect_min_generations = 0;
   std::string json_out;
 
@@ -287,6 +311,8 @@ int main(int argc, char** argv) {
   flags.AddInt64("expect_min_generations", &expect_min_generations,
                  "fail unless at least this many distinct generations "
                  "were observed (with --check_generations)");
+  flags.AddBool("no_keepalive", &no_keepalive,
+                "open a new connection for every request");
   flags.AddString("json_out", &json_out,
                   "write a machine-readable run report here");
   hlm::Status parsed = flags.Parse(argc, argv);
@@ -308,6 +334,7 @@ int main(int argc, char** argv) {
   config.duration_s = duration_s;
   config.qps = qps;
   config.check_generations = check_generations;
+  config.no_keepalive = no_keepalive;
 
   if (mode == "once") return RunOnce(config, path);
   if (mode == "open") {

@@ -29,12 +29,13 @@
 //     /statusz?format=json over a keep-alive connection and renders
 //     per-endpoint QPS, error rate, and windowed p50/p90/p99 latency
 //     from the server's time-series ring (see DESIGN.md "Live
-//     telemetry"), plus generation / uptime and the newest reload +
-//     sampled-request events from the flight recorder. Loop mode
-//     repaints every --interval_s via ANSI clear-home; --once prints a
-//     single frame with no escape codes (scripts/tier1.sh uses it as a
-//     smoke test) and exits non-zero when the daemon cannot be reached
-//     or returns malformed JSON.
+//     telemetry"), plus generation / uptime, open and rejected
+//     connections, and the newest reload + sampled-request events
+//     from the flight recorder. Loop mode repaints every --interval_s
+//     via ANSI clear-home; --once prints a single frame with no escape
+//     codes (scripts/tier1.sh uses it as a smoke test) and exits
+//     non-zero when the daemon cannot be reached or returns malformed
+//     JSON.
 
 #include <chrono>
 #include <cstdio>
@@ -144,8 +145,15 @@ std::string RenderFrame(const JsonValue& doc, const std::string& peer) {
   const double generation =
       NumberAt(doc, {"metrics", "gauges", "hlm.serve.server.generation"}, -1);
   const JsonValue* run_id = doc.Find("run_id");
+  const double connections_open = NumberAt(
+      doc, {"metrics", "gauges", "hlm.serve.server.connections_open"});
+  const double connections_rejected =
+      NumberAt(doc, {"metrics", "counters",
+                     "hlm.serve.server.connections_rejected_total"});
   out << "hlm_top — " << peer << "  up " << FormatDouble(uptime_s, 1)
-      << "s  generation " << FormatDouble(generation, 0);
+      << "s  generation " << FormatDouble(generation, 0) << "  connections "
+      << FormatDouble(connections_open, 0) << " open, "
+      << FormatDouble(connections_rejected, 0) << " rejected";
   if (run_id != nullptr && !run_id->AsString().empty()) {
     out << "  run_id " << run_id->AsString();
   }
