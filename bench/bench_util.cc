@@ -26,7 +26,6 @@ namespace {
 std::string g_metrics_out_path;  // NOLINT(runtime/string)
 std::string g_trace_out_path;    // NOLINT(runtime/string)
 std::string g_events_out_path;   // NOLINT(runtime/string)
-std::string g_run_id;            // NOLINT(runtime/string)
 
 void WriteObservabilityOutputs() {
   if (!g_metrics_out_path.empty()) {
@@ -92,8 +91,6 @@ ScopedPhase::ScopedPhase(const std::string& name)
             obs::MetricsRegistry::Global().GetHistogram(
                 "hlm.bench." + name + "_seconds"),
             "bench") {}
-
-const std::string& RunId() { return g_run_id; }
 
 BenchEnv MakeEnv(int argc, char** argv, FlagSet* flags,
                  long long default_companies) {
@@ -191,12 +188,12 @@ BenchEnv MakeEnv(int argc, char** argv, FlagSet* flags,
   std::string harness = argc > 0 && argv[0] != nullptr ? argv[0] : "bench";
   size_t slash = harness.find_last_of('/');
   if (slash != std::string::npos) harness = harness.substr(slash + 1);
-  g_run_id = obs::ComputeRunId({harness, std::to_string(seed),
-                                std::to_string(companies),
-                                std::to_string(NumThreads())});
-  obs::TraceRecorder::Global().SetRunId(g_run_id);
+  const std::string run_id = obs::ComputeRunId(
+      {harness, std::to_string(seed), std::to_string(companies),
+       std::to_string(NumThreads())});
+  obs::TraceRecorder::Global().SetRunId(run_id);
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.SetMeta("run_id", g_run_id);
+  metrics.SetMeta("run_id", run_id);
   metrics.SetMeta("harness", harness);
   metrics.GetGauge("hlm.bench.companies")
       ->Set(static_cast<double>(companies));
@@ -295,16 +292,6 @@ TrainedRecommenders TrainRecommenders(const BenchEnv& env, int lstm_epochs) {
     out.chh = std::move(chh);
   }
   return out;
-}
-
-void PrintRow(const std::vector<std::string>& cells,
-              const std::vector<int>& widths) {
-  for (size_t i = 0; i < cells.size(); ++i) {
-    int width = i < widths.size() ? widths[i] : 12;
-    std::printf("%-*s", width, cells[i].c_str());
-    if (i + 1 < cells.size()) std::printf(" | ");
-  }
-  std::printf("\n");
 }
 
 }  // namespace hlm::bench

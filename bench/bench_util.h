@@ -69,13 +69,6 @@ class ScopedPhase {
   obs::TraceSpan span_;
 };
 
-/// The deterministic run id MakeEnv derived for this process (see
-/// obs::ComputeRunId): a digest of harness name, seed, companies, and
-/// thread count. Threaded into the metrics meta section, the trace
-/// export, and any harness-specific BENCH_*.json, so the three outputs
-/// of one run can be joined offline. Empty before MakeEnv runs.
-const std::string& RunId();
-
 /// Sequences of a corpus truncated to history before `cutoff`.
 std::vector<models::TokenSequence> TruncatedSequences(
     const corpus::Corpus& corpus, corpus::Month cutoff);
@@ -83,10 +76,6 @@ std::vector<models::TokenSequence> TruncatedSequences(
 /// Prints a header banner naming the experiment and its parameters.
 void PrintBanner(const std::string& experiment,
                  const std::string& paper_reference, const BenchEnv& env);
-
-/// Prints one aligned table row: columns joined by " | ".
-void PrintRow(const std::vector<std::string>& cells,
-              const std::vector<int>& widths);
 
 /// The three recommenders of Figs. 3-4 (LDA with few topics, LSTM, CHH),
 /// trained on the pre-2013 history of the training companies (the

@@ -21,8 +21,8 @@ if [ ! -f "$BUILD_DIR/compile_commands.json" ]; then
 fi
 
 echo "== tidy: clang-tidy over src/ =="
-# Library sources only: tests and benches lean on gtest/benchmark macros
-# that trip readability checks with no actionable fix.
+# Library sources only: tests lean on gtest macros that trip
+# readability checks with no actionable fix.
 mapfile -t SOURCES < <(find "$REPO_ROOT/src" -name '*.cc' | sort)
 
 FAILED=0

@@ -28,10 +28,10 @@ bool CompanyFilter::Matches(const corpus::Company& company) const {
 
 SalesRecommendationTool::SalesRecommendationTool(
     const corpus::Corpus* corpus,
-    std::vector<std::vector<double>> representations,
+    const std::vector<std::vector<double>>& representations,
     corpus::InternalDatabase internal_db)
     : corpus_(corpus),
-      search_(std::move(representations), cluster::DistanceKind::kCosine),
+      search_(representations, cluster::DistanceKind::kCosine),
       internal_db_(std::move(internal_db)) {
   company_clients_.resize(corpus_->num_companies());
   for (size_t client = 0; client < internal_db_.linked_company.size();

@@ -44,9 +44,10 @@ class SalesRecommendationTool {
   /// `representations` must align with corpus order (typically the LDA
   /// topic mixtures). The internal database must already be linked
   /// (LinkInternalDatabase).
-  SalesRecommendationTool(const corpus::Corpus* corpus,
-                          std::vector<std::vector<double>> representations,
-                          corpus::InternalDatabase internal_db);
+  SalesRecommendationTool(
+      const corpus::Corpus* corpus,
+      const std::vector<std::vector<double>>& representations,
+      corpus::InternalDatabase internal_db);
 
   /// Top-k companies most similar to `company_id`, optionally filtered.
   Result<std::vector<recsys::Neighbor>> FindSimilarCompanies(

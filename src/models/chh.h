@@ -95,7 +95,7 @@ class ConditionalHeavyHitters final : public ConditionalScorer {
 /// distributions live in bounded SpaceSaving sketches and the context
 /// dictionary itself is capped, following the streaming "sparse" CHH
 /// algorithms of [17]/[20]. Trades exactness for O(contexts x sketch)
-/// memory; the micro-bench compares it against the exact variant.
+/// memory; chh_test checks it against the exact variant.
 class ApproximateChh final : public ConditionalScorer {
  public:
   ApproximateChh(int vocab_size, ChhConfig config, size_t max_contexts,

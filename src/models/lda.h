@@ -94,7 +94,7 @@ class LdaModel final : public ConditionalScorer {
       const std::vector<TokenSequence>& documents) const;
 
   /// Wallach et al. left-to-right estimator with `particles` particles;
-  /// the ablation bench compares it against the plug-in estimate.
+  /// bench_table1_min_perplexity compares it with the other estimators.
   double PerplexityLeftToRight(const std::vector<TokenSequence>& documents,
                                int particles) const;
 

@@ -21,12 +21,12 @@ constexpr int kTileItems = 128;
 }  // namespace
 
 SimilaritySearch::SimilaritySearch(
-    std::vector<std::vector<double>> representations,
+    const std::vector<std::vector<double>>& representations,
     cluster::DistanceKind kind)
-    : representations_(std::move(representations)), kind_(kind) {
-  if (!representations_.empty()) {
-    dim_ = static_cast<int>(representations_[0].size());
-    for (const std::vector<double>& row : representations_) {
+    : kind_(kind), size_(static_cast<int>(representations.size())) {
+  if (!representations.empty()) {
+    dim_ = static_cast<int>(representations[0].size());
+    for (const std::vector<double>& row : representations) {
       if (static_cast<int>(row.size()) != dim_) {
         ragged_ = true;
         break;
@@ -36,9 +36,9 @@ SimilaritySearch::SimilaritySearch(
   if (ragged_) return;
   // Flatten once and cache row norms so queries never recompute them
   // (Eq. 5 scans touch every row; the norms are query-invariant).
-  flat_.reserve(representations_.size() * static_cast<size_t>(dim_));
-  norms_.reserve(representations_.size());
-  for (const std::vector<double>& row : representations_) {
+  flat_.reserve(representations.size() * static_cast<size_t>(dim_));
+  norms_.reserve(representations.size());
+  for (const std::vector<double>& row : representations) {
     flat_.insert(flat_.end(), row.begin(), row.end());
     norms_.push_back(std::sqrt(simd::SquaredNorm(row.data(), row.size())));
   }
@@ -54,11 +54,22 @@ Result<std::vector<Neighbor>> SimilaritySearch::TopK(
     if (candidate == query_id) return false;
     return filter == nullptr || filter(candidate);
   };
-  return TopKForVector(representations_[query_id], k, self_excluding_filter);
+  // A ragged index has no flat rows; the empty query still reaches the
+  // ragged check, so TopK fails exactly like TopKForVector.
+  if (ragged_) return TopKForRow(nullptr, 0, k, self_excluding_filter);
+  const size_t d = static_cast<size_t>(dim_);
+  return TopKForRow(flat_.data() + query_id * d, d, k,
+                    self_excluding_filter);
 }
 
 Result<std::vector<Neighbor>> SimilaritySearch::TopKForVector(
     const std::vector<double>& query, int k,
+    const std::function<bool(int)>& filter) const {
+  return TopKForRow(query.data(), query.size(), k, filter);
+}
+
+Result<std::vector<Neighbor>> SimilaritySearch::TopKForRow(
+    const double* query, size_t query_size, int k,
     const std::function<bool(int)>& filter) const {
   // Serving hot path: pointers resolved once, then lock-free mutation.
   static obs::Histogram* query_seconds =
@@ -79,24 +90,23 @@ Result<std::vector<Neighbor>> SimilaritySearch::TopKForVector(
         Status::InvalidArgument(
             "representation matrix is ragged: rows differ in width"));
   }
-  if (static_cast<int>(query.size()) != dim_) {
+  if (static_cast<int>(query_size) != dim_) {
     return obs::TrackError(
         "recsys",
         Status::InvalidArgument(
             "query dimensionality mismatch: query has " +
-            std::to_string(query.size()) + " dims, index has " +
+            std::to_string(query_size) + " dims, index has " +
             std::to_string(dim_)));
   }
   std::vector<Neighbor> neighbors;
-  neighbors.reserve(representations_.size());
+  neighbors.reserve(static_cast<size_t>(size_));
   const size_t d = static_cast<size_t>(dim_);
   if (kind_ == cluster::DistanceKind::kCosine) {
     // Tiled block scan: one ScoreBlock call scores a whole tile of rows
     // against the query, then cached norms turn dots into distances.
     // Filtered rows are dropped after scoring — the filter decides
     // membership, not whether a lane gets computed.
-    const double query_norm =
-        std::sqrt(simd::SquaredNorm(query.data(), query.size()));
+    const double query_norm = std::sqrt(simd::SquaredNorm(query, d));
     Arena& arena = ScratchArena();
     arena.Reset();
     double* dots = arena.AllocDoubles(kTileItems);
@@ -105,8 +115,7 @@ Result<std::vector<Neighbor>> SimilaritySearch::TopKForVector(
     // reserved above)
     for (int start = 0; start < size(); start += kTileItems) {
       const int count = std::min(kTileItems, size() - start);
-      simd::ScoreBlock(query.data(), 1, flat_.data() + start * d, count, d,
-                       dots);
+      simd::ScoreBlock(query, 1, flat_.data() + start * d, count, d, dots);
       for (int j = 0; j < count; ++j) {
         const int i = start + j;
         if (filter != nullptr && !filter(i)) continue;
@@ -126,7 +135,7 @@ Result<std::vector<Neighbor>> SimilaritySearch::TopKForVector(
     for (int i = 0; i < size(); ++i) {
       if (filter != nullptr && !filter(i)) continue;
       const double distance = std::sqrt(
-          simd::SquaredDistance(query.data(), flat_.data() + i * d, d));
+          simd::SquaredDistance(query, flat_.data() + i * d, d));
       neighbors.push_back(Neighbor{i, distance});
     }
   }

@@ -27,19 +27,20 @@ struct Neighbor {
 /// checked unconditionally — an empty index has dimension 0, so any
 /// non-empty query vector is a mismatch, not a silent empty result.
 ///
-/// Construction additionally flattens the representations into one
-/// contiguous row-major block and caches each row's euclidean norm, so
-/// queries run as tiled simd::ScoreBlock scans (cosine) or contiguous
-/// kernel distance calls (euclidean) instead of per-row nested-vector
-/// walks. The batched cosine path is bit-identical to per-row
-/// CosineDistance: the block kernel's dot obeys the same lane-blocked
-/// contract, and the norms are the same sqrt(SquaredNorm) values.
+/// Construction copies the representations into one contiguous
+/// row-major block, the index's only copy of them, and caches each
+/// row's euclidean norm, so queries run as tiled simd::ScoreBlock scans
+/// (cosine) or contiguous kernel distance calls (euclidean). The source
+/// matrix may be destroyed once the constructor returns. The batched
+/// cosine path is bit-identical to per-row CosineDistance: the block
+/// kernel's dot obeys the same lane-blocked contract, and the norms are
+/// the same sqrt(SquaredNorm) values.
 class SimilaritySearch {
  public:
-  SimilaritySearch(std::vector<std::vector<double>> representations,
+  SimilaritySearch(const std::vector<std::vector<double>>& representations,
                    cluster::DistanceKind kind);
 
-  int size() const { return static_cast<int>(representations_.size()); }
+  int size() const { return size_; }
 
   /// Representation width all queries must match (0 for an empty index).
   int dim() const { return dim_; }
@@ -54,18 +55,19 @@ class SimilaritySearch {
       const std::vector<double>& query, int k,
       const std::function<bool(int)>& filter = nullptr) const;
 
-  const std::vector<double>& representation(int company_id) const {
-    return representations_[company_id];
-  }
-
  private:
-  std::vector<std::vector<double>> representations_;
+  /// TopKForVector over a query of `query_size` doubles at `query`.
+  Result<std::vector<Neighbor>> TopKForRow(
+      const double* query, size_t query_size, int k,
+      const std::function<bool(int)>& filter) const;
+
   cluster::DistanceKind kind_;
+  int size_ = 0;
   int dim_ = 0;
   bool ragged_ = false;
-  // Contiguous row-major copy of representations_ (size n * dim_) plus
-  // per-row euclidean norms, both fixed at construction. Empty when the
-  // matrix is ragged (queries fail before touching them).
+  // Row-major representations (size_ * dim_ doubles) plus per-row
+  // euclidean norms, both fixed at construction. Empty when the matrix
+  // is ragged (queries fail before touching them).
   std::vector<double> flat_;
   std::vector<double> norms_;
 };

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/parallel.h"
 #include "corpus/generator.h"
 #include "corpus/month.h"
@@ -285,6 +288,34 @@ TEST(SimilaritySearchTest, VectorQueryAndErrors) {
   EXPECT_FALSE(search.TopK(5, 3).ok());
   EXPECT_FALSE(search.TopK(0, 0).ok());
   EXPECT_FALSE(search.TopKForVector({1.0}, 1).ok());  // dim mismatch
+}
+
+// The index keeps its own flat copy of the rows: queries after the
+// source matrix is destroyed (the ASan stage would flag a dangling read)
+// return exactly what they returned while it was alive.
+TEST(SimilaritySearchTest, OutlivesSourceMatrix) {
+  std::vector<Neighbor> before;
+  std::unique_ptr<SimilaritySearch> search;
+  {
+    std::vector<std::vector<double>> reps = {
+        {0.0, 1.0}, {1.0, 0.0}, {0.9, 0.1}, {0.2, 0.8}};
+    search = std::make_unique<SimilaritySearch>(
+        reps, cluster::DistanceKind::kCosine);
+    auto hits = search->TopK(1, 3);
+    ASSERT_TRUE(hits.ok());
+    before = *hits;
+  }
+  auto after = search->TopK(1, 3);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ((*after)[i].company_id, before[i].company_id);
+    EXPECT_EQ((*after)[i].distance, before[i].distance);
+  }
+  EXPECT_EQ((*after)[0].company_id, 2);
+  auto by_vector = search->TopKForVector({0.0, 1.0}, 1);
+  ASSERT_TRUE(by_vector.ok());
+  EXPECT_EQ((*by_vector)[0].company_id, 0);
 }
 
 TEST(SimilaritySearchTest, KLargerThanCorpusReturnsAll) {

@@ -43,10 +43,8 @@
 #include "corpus/month.h"
 #include "math/rng.h"
 #include "math/simd/kernels.h"
-#include "models/bpmf.h"
 #include "models/chh.h"
 #include "models/lda.h"
-#include "models/lstm_lm.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "recsys/evaluation.h"
@@ -97,7 +95,6 @@ class Phase {
 struct SuiteEnv {
   corpus::GeneratedCorpus world;
   std::vector<models::TokenSequence> train_seqs_pre2013;
-  std::vector<models::TokenSequence> valid_seqs;
   std::vector<models::TokenSequence> test_seqs;
 };
 
@@ -106,13 +103,12 @@ SuiteEnv BuildEnv(long long companies, long long seed) {
   corpus::GeneratorConfig config;
   config.num_companies = static_cast<int>(companies);
   config.seed = static_cast<uint64_t>(seed);
-  SuiteEnv env{corpus::SyntheticHgGenerator(config).Generate(), {}, {}, {}};
+  SuiteEnv env{corpus::SyntheticHgGenerator(config).Generate(), {}, {}};
   Rng split_rng(7);
   corpus::SplitIndices split = env.world.corpus.Split(0.7, 0.1, &split_rng);
   corpus::Corpus train = env.world.corpus.Subset(split.train);
   env.train_seqs_pre2013 =
       bench::TruncatedSequences(train, corpus::MakeMonth(2013, 1));
-  env.valid_seqs = env.world.corpus.Subset(split.valid).Sequences();
   env.test_seqs = env.world.corpus.Subset(split.test).Sequences();
   return env;
 }
@@ -251,8 +247,7 @@ void RunServeSuite(const SuiteEnv& env, const std::string& run_id) {
   fs::remove_all(dir);
 }
 
-void RunSuite(const std::string& suite, const SuiteEnv& env,
-              const std::string& run_id) {
+void RunSuite(const SuiteEnv& env, const std::string& run_id) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   const int vocab = env.world.corpus.num_categories();
 
@@ -315,42 +310,6 @@ void RunSuite(const std::string& suite, const SuiteEnv& env,
   }
 
   RunServeRegistry(lda, rows, run_id);
-
-  if (suite == "full") {
-    {
-      Phase phase("train_lstm");
-      models::LstmConfig config;
-      config.hidden_size = 16;
-      config.num_layers = 1;
-      config.epochs = 2;
-      models::LstmLanguageModel lstm(vocab, config);
-      lstm.Train(env.train_seqs_pre2013, env.valid_seqs);
-      metrics.GetGauge("hlm.bench.lstm_test_perplexity")
-          ->Set(lstm.Perplexity(env.test_seqs));
-    }
-    {
-      Phase phase("train_bpmf");
-      const auto cutoff = corpus::MakeMonth(2013, 1);
-      std::vector<models::RatingTriplet> observed;
-      int used_rows = 0;
-      for (int i = 0; i < env.world.corpus.num_companies(); ++i) {
-        auto before = env.world.corpus.record(i).install_base.Before(cutoff);
-        if (before.empty()) continue;
-        for (int c : before.Set()) observed.push_back({used_rows, c, 1.0});
-        ++used_rows;
-      }
-      models::BpmfConfig config;
-      config.burn_in = 5;
-      config.samples = 10;
-      models::BpmfModel bpmf(config);
-      HLM_CHECK_OK(bpmf.TrainSparse(observed, used_rows, vocab));
-      std::vector<double> scores = bpmf.AllScores();
-      double sum = 0.0;
-      for (double s : scores) sum += s;
-      metrics.GetGauge("hlm.bench.bpmf_mean_score")
-          ->Set(scores.empty() ? 0.0 : sum / static_cast<double>(scores.size()));
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -749,10 +708,9 @@ int Main(int argc, char** argv) {
   long long threads = 0;
   std::string simd_mode;
   flags.AddString("suite", &suite, "bench suite: smoke (fast, tier-1), "
-                  "full (adds LSTM + BPMF training), kernels (SIMD "
-                  "kernel micro-bench vs scalar references), or serve "
-                  "(snapshot -> hlm_serve boot -> request mix -> hot "
-                  "reload)");
+                  "kernels (SIMD kernel micro-bench vs scalar "
+                  "references), or serve (snapshot -> hlm_serve boot -> "
+                  "request mix -> hot reload)");
   flags.AddString("out", &out,
                   "write the run's BENCH JSON here (default "
                   "BENCH_<suite>.json; 'none' skips the write)");
@@ -774,7 +732,7 @@ int Main(int argc, char** argv) {
                   "stretch every phase by this factor (self-test hook; "
                   "1 = off)");
   flags.AddInt64("companies", &companies,
-                 "corpus size (0 = suite default: 300 smoke, 800 full)");
+                 "corpus size (0 = suite default: 300 smoke, 150 serve)");
   flags.AddInt64("seed", &seed, "corpus generator seed");
   flags.AddInt64("threads", &threads,
                  "worker threads (0 = HLM_THREADS env or all cores); "
@@ -797,18 +755,15 @@ int Main(int argc, char** argv) {
     std::printf("suites:\n"
                 "  smoke    make_env train_lda lda_perplexity train_chh "
                 "recsys_eval similarity_search serve_registry\n"
-                "  full     smoke phases + train_lstm train_bpmf\n"
                 "  kernels  dispatched SIMD kernels vs scalar references "
                 "(dot, distance, matvec, score_block)\n"
                 "  serve    make_env serve_snapshot serve_start "
                 "serve_requests serve_reload\n");
     return 0;
   }
-  if (suite != "smoke" && suite != "full" && suite != "kernels" &&
-      suite != "serve") {
+  if (suite != "smoke" && suite != "kernels" && suite != "serve") {
     std::fprintf(stderr,
-                 "unknown --suite: %s (want smoke, full, kernels, or "
-                 "serve)\n",
+                 "unknown --suite: %s (want smoke, kernels, or serve)\n",
                  suite.c_str());
     return 2;
   }
@@ -817,7 +772,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
   if (companies <= 0 && suite != "kernels") {
-    companies = suite == "full" ? 800 : (suite == "serve" ? 150 : 300);
+    companies = suite == "serve" ? 150 : 300;
   }
   if (out.empty()) out = "BENCH_" + suite + ".json";
   if (baseline_path.empty()) baseline_path = "bench/baselines/" + suite +
@@ -879,7 +834,7 @@ int Main(int argc, char** argv) {
     RunServeSuite(env, run_id);
   } else {
     SuiteEnv env = BuildEnv(companies, seed);
-    RunSuite(suite, env, run_id);
+    RunSuite(env, run_id);
   }
 
   obs::MetricsSnapshot snapshot = BuildSnapshot();
