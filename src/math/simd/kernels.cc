@@ -168,4 +168,10 @@ void ScoreBlock(const double* queries, size_t num_queries,
                                       d, out);
 }
 
+void CosineDistances(const double* dots, double query_norm,
+                     const double* row_norms, double* out, size_t n) {
+  internal::ActiveTable().cosine_distances(dots, query_norm, row_norms, out,
+                                           n);
+}
+
 }  // namespace hlm::simd

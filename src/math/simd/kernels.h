@@ -24,8 +24,9 @@ namespace hlm::simd {
 /// contraction is deliberately NOT used (and compiler contraction is
 /// disabled for these translation units): fused multiply-add rounds
 /// once where mul+add rounds twice, which would split the two paths
-/// bit-wise. Element-wise kernels (Axpy, ShiftedProduct, GibbsScore)
-/// have no cross-element reduction and are trivially order-identical.
+/// bit-wise. Element-wise kernels (Axpy, ShiftedProduct, GibbsScore,
+/// CosineDistances) have no cross-element reduction and are trivially
+/// order-identical.
 
 /// Which instruction path the dispatcher may select.
 enum class SimdMode {
@@ -98,6 +99,16 @@ void ScoreBlock(const double* queries, size_t num_queries,
                 const double* items, size_t num_items, size_t d,
                 double* out);
 
+/// out[j] = (query_norm == 0 || row_norms[j] == 0)
+///              ? 1.0
+///              : 1.0 - dots[j] / (query_norm * row_norms[j]).
+/// Cosine distances from a ScoreBlock row of dots and cached norms; a
+/// zero-norm side scores 1 by convention. Element-wise, with correctly
+/// rounded multiply, divide and subtract, so every path gives the bits
+/// of the scalar expression.
+void CosineDistances(const double* dots, double query_norm,
+                     const double* row_norms, double* out, size_t n);
+
 namespace internal {
 
 /// The dispatch table one path exports. Kernel wrappers load the active
@@ -115,6 +126,8 @@ struct KernelTable {
   void (*matvec)(const double*, size_t, size_t, const double*, double*);
   void (*score_block)(const double*, size_t, const double*, size_t, size_t,
                       double*);
+  void (*cosine_distances)(const double*, double, const double*, double*,
+                           size_t);
 };
 
 /// The portable table (always available; also the parity reference for

@@ -8,9 +8,10 @@
 //
 // Summation contract: one 4-wide accumulator register IS the four
 // lane-blocked partial sums of kernels.h; the horizontal reduction
-// spells out (s0 + s1) + (s2 + s3) in scalar code and the tail is added
-// in index order — bit-identical to the portable path. No FMA: mul+add
-// intrinsics only, matching the portable path's two-rounding arithmetic.
+// spells out (s0 + s1) + (s2 + s3), in scalar code or four registers at
+// a time, and the tail is added in index order — bit-identical to the
+// portable path. No FMA: mul+add intrinsics only, matching the portable
+// path's two-rounding arithmetic.
 
 #include "math/simd/kernels.h"
 
@@ -27,6 +28,19 @@ inline double ReduceLanes(__m256d acc) {
   alignas(32) double lanes[4];
   _mm256_store_pd(lanes, acc);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+}
+
+/// ReduceLanes over four registers at once: lane j of the result is
+/// (s0 + s1) + (s2 + s3) over acc_j's lanes, in the contract's order.
+inline __m256d ReduceLanes4(__m256d acc0, __m256d acc1, __m256d acc2,
+                            __m256d acc3) {
+  // hadd: [acc0 s0+s1, acc1 s0+s1, acc0 s2+s3, acc1 s2+s3].
+  const __m256d pairs01 = _mm256_hadd_pd(acc0, acc1);
+  const __m256d pairs23 = _mm256_hadd_pd(acc2, acc3);
+  // Low halves gather each item's s0+s1, high halves its s2+s3.
+  const __m256d low = _mm256_permute2f128_pd(pairs01, pairs23, 0x20);
+  const __m256d high = _mm256_permute2f128_pd(pairs01, pairs23, 0x31);
+  return _mm256_add_pd(low, high);
 }
 
 double Avx2Dot(const double* a, const double* b, size_t n) {
@@ -135,39 +149,75 @@ void Avx2MatVec(const double* a, size_t rows, size_t cols, const double* x,
 void Avx2ScoreBlock(const double* queries, size_t num_queries,
                     const double* items, size_t num_items, size_t d,
                     double* out) {
-  // Register tile: one query against two item rows per pass, sharing
-  // every query load across both accumulators. Each (q, j) pair keeps
-  // its own accumulator register, so its value is bit-identical to a
-  // standalone Dot on the same operands.
+  // Register tile: one query against four item rows per pass, sharing
+  // every query load across four accumulators. Each (q, j) pair keeps
+  // its own accumulator register, and ReduceLanes4 plus the lane-wise
+  // tail add in the contract's order, so every cell is bit-identical to
+  // a standalone Dot on the same operands.
   const size_t d4 = d - d % 4;
   for (size_t q = 0; q < num_queries; ++q) {
     const double* query = queries + q * d;
     double* out_row = out + q * num_items;
     size_t j = 0;
-    for (; j + 2 <= num_items; j += 2) {
+    for (; j + 4 <= num_items; j += 4) {
       const double* item0 = items + j * d;
-      const double* item1 = items + (j + 1) * d;
+      const double* item1 = item0 + d;
+      const double* item2 = item1 + d;
+      const double* item3 = item2 + d;
       __m256d acc0 = _mm256_setzero_pd();
       __m256d acc1 = _mm256_setzero_pd();
+      __m256d acc2 = _mm256_setzero_pd();
+      __m256d acc3 = _mm256_setzero_pd();
       for (size_t i = 0; i < d4; i += 4) {
         const __m256d qv = _mm256_loadu_pd(query + i);
         acc0 = _mm256_add_pd(acc0,
                              _mm256_mul_pd(qv, _mm256_loadu_pd(item0 + i)));
         acc1 = _mm256_add_pd(acc1,
                              _mm256_mul_pd(qv, _mm256_loadu_pd(item1 + i)));
+        acc2 = _mm256_add_pd(acc2,
+                             _mm256_mul_pd(qv, _mm256_loadu_pd(item2 + i)));
+        acc3 = _mm256_add_pd(acc3,
+                             _mm256_mul_pd(qv, _mm256_loadu_pd(item3 + i)));
       }
-      double dot0 = ReduceLanes(acc0);
-      double dot1 = ReduceLanes(acc1);
+      __m256d dots = ReduceLanes4(acc0, acc1, acc2, acc3);
+      // Tail terms in index order, one lane per item.
       for (size_t i = d4; i < d; ++i) {
-        dot0 += query[i] * item0[i];
-        dot1 += query[i] * item1[i];
+        const __m256d tail = _mm256_set_pd(item3[i], item2[i], item1[i],
+                                           item0[i]);
+        dots = _mm256_add_pd(
+            dots, _mm256_mul_pd(_mm256_set1_pd(query[i]), tail));
       }
-      out_row[j] = dot0;
-      out_row[j + 1] = dot1;
+      _mm256_storeu_pd(out_row + j, dots);
     }
     for (; j < num_items; ++j) {
       out_row[j] = Avx2Dot(query, items + j * d, d);
     }
+  }
+}
+
+void Avx2CosineDistances(const double* dots, double query_norm,
+                         const double* row_norms, double* out, size_t n) {
+  if (query_norm == 0.0) {
+    for (size_t j = 0; j < n; ++j) out[j] = 1.0;
+    return;
+  }
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d qn = _mm256_set1_pd(query_norm);
+  const size_t n4 = n - n % 4;
+  for (size_t j = 0; j < n4; j += 4) {
+    const __m256d rn = _mm256_loadu_pd(row_norms + j);
+    const __m256d distance = _mm256_sub_pd(
+        one, _mm256_div_pd(_mm256_loadu_pd(dots + j), _mm256_mul_pd(qn, rn)));
+    // Zero-norm rows take 1.0; the lanes they divided by zero are
+    // discarded by the blend.
+    const __m256d zero_norm = _mm256_cmp_pd(rn, zero, _CMP_EQ_OQ);
+    _mm256_storeu_pd(out + j, _mm256_blendv_pd(distance, one, zero_norm));
+  }
+  for (size_t j = n4; j < n; ++j) {
+    out[j] = row_norms[j] == 0.0
+                 ? 1.0
+                 : 1.0 - dots[j] / (query_norm * row_norms[j]);
   }
 }
 
@@ -180,6 +230,7 @@ const KernelTable* Avx2Table() {
       Avx2Dot,           Avx2SquaredNorm, Avx2Sum,
       Avx2SquaredDistance, Avx2Axpy,      Avx2ShiftedProduct,
       Avx2GibbsScore,    Avx2MatVec,      Avx2ScoreBlock,
+      Avx2CosineDistances,
   };
   return &table;
 }

@@ -114,6 +114,16 @@ void PortableScoreBlock(const double* queries, size_t num_queries,
   }
 }
 
+void PortableCosineDistances(const double* dots, double query_norm,
+                             const double* row_norms, double* out,
+                             size_t n) {
+  for (size_t j = 0; j < n; ++j) {
+    out[j] = (query_norm == 0.0 || row_norms[j] == 0.0)
+                 ? 1.0
+                 : 1.0 - dots[j] / (query_norm * row_norms[j]);
+  }
+}
+
 }  // namespace
 
 namespace internal {
@@ -123,6 +133,7 @@ const KernelTable& PortableTable() {
       PortableDot,           PortableSquaredNorm, PortableSum,
       PortableSquaredDistance, PortableAxpy,      PortableShiftedProduct,
       PortableGibbsScore,    PortableMatVec,      PortableScoreBlock,
+      PortableCosineDistances,
   };
   return table;
 }

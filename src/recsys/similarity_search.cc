@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/arena.h"
@@ -13,10 +14,16 @@ namespace hlm::recsys {
 
 namespace {
 
-// Items scored per ScoreBlock call. Sized so a tile of rows plus the dot
-// buffer stays cache-resident at the representation widths in play
-// (tens to a few hundred dims).
+// Rows scored per tile. Sized so a tile of rows plus its dot and
+// distance buffers stay cache-resident at the representation widths in
+// play (tens to a few hundred dims).
 constexpr int kTileItems = 128;
+
+// The result order: ascending distance, ties by ascending company id.
+bool CloserThan(const Neighbor& a, const Neighbor& b) {
+  return a.distance < b.distance ||
+         (a.distance == b.distance && a.company_id < b.company_id);
+}
 
 }  // namespace
 
@@ -50,27 +57,22 @@ Result<std::vector<Neighbor>> SimilaritySearch::TopK(
     return obs::TrackError(
         "recsys", Status::OutOfRange("query company id out of range"));
   }
-  auto self_excluding_filter = [query_id, &filter](int candidate) {
-    if (candidate == query_id) return false;
-    return filter == nullptr || filter(candidate);
-  };
   // A ragged index has no flat rows; the empty query still reaches the
   // ragged check, so TopK fails exactly like TopKForVector.
-  if (ragged_) return TopKForRow(nullptr, 0, k, self_excluding_filter);
+  if (ragged_) return TopKForRow(nullptr, 0, k, filter, query_id);
   const size_t d = static_cast<size_t>(dim_);
-  return TopKForRow(flat_.data() + query_id * d, d, k,
-                    self_excluding_filter);
+  return TopKForRow(flat_.data() + query_id * d, d, k, filter, query_id);
 }
 
 Result<std::vector<Neighbor>> SimilaritySearch::TopKForVector(
     const std::vector<double>& query, int k,
     const std::function<bool(int)>& filter) const {
-  return TopKForRow(query.data(), query.size(), k, filter);
+  return TopKForRow(query.data(), query.size(), k, filter, -1);
 }
 
 Result<std::vector<Neighbor>> SimilaritySearch::TopKForRow(
     const double* query, size_t query_size, int k,
-    const std::function<bool(int)>& filter) const {
+    const std::function<bool(int)>& filter, int exclude) const {
   // Serving hot path: pointers resolved once, then lock-free mutation.
   static obs::Histogram* query_seconds =
       obs::MetricsRegistry::Global().GetHistogram(
@@ -98,57 +100,59 @@ Result<std::vector<Neighbor>> SimilaritySearch::TopKForRow(
             std::to_string(query_size) + " dims, index has " +
             std::to_string(dim_)));
   }
-  std::vector<Neighbor> neighbors;
-  neighbors.reserve(static_cast<size_t>(size_));
+  // Max-heap of the best `filled` hits so far, worst (by distance, then
+  // id) at the front. Bounded by the index, so a huge k costs nothing.
+  const size_t keep = std::min<size_t>(k, size_);
+  std::vector<Neighbor> heap(keep);
+  size_t filled = 0;
+  // Distance of heap.front() once the heap is full; a row farther than
+  // this can never enter, so it skips the filter and the heap entirely.
+  double worst = std::numeric_limits<double>::infinity();
   const size_t d = static_cast<size_t>(dim_);
-  if (kind_ == cluster::DistanceKind::kCosine) {
-    // Tiled block scan: one ScoreBlock call scores a whole tile of rows
-    // against the query, then cached norms turn dots into distances.
-    // Filtered rows are dropped after scoring — the filter decides
-    // membership, not whether a lane gets computed.
-    const double query_norm = std::sqrt(simd::SquaredNorm(query, d));
-    Arena& arena = ScratchArena();
-    arena.Reset();
-    double* dots = arena.AllocDoubles(kTileItems);
-    // hlm-lint: hot-path begin (ScoreBlock tile scan: the serving-path
-    // inner loop; dots live in the scratch arena, neighbors capacity is
-    // reserved above)
-    for (int start = 0; start < size(); start += kTileItems) {
-      const int count = std::min(kTileItems, size() - start);
-      simd::ScoreBlock(query, 1, flat_.data() + start * d, count, d, dots);
+  const double query_norm = kind_ == cluster::DistanceKind::kCosine
+                                ? std::sqrt(simd::SquaredNorm(query, d))
+                                : 0.0;
+  Arena& arena = ScratchArena();
+  arena.Reset();
+  double* dots = arena.AllocDoubles(kTileItems);
+  double* distances = arena.AllocDoubles(kTileItems);
+  // hlm-lint: hot-path begin (tile scan: the serving-path inner loop;
+  // tiles live in the scratch arena, the heap is sized above)
+  for (int start = 0; start < size(); start += kTileItems) {
+    const int count = std::min(kTileItems, size() - start);
+    const double* rows = flat_.data() + start * d;
+    if (kind_ == cluster::DistanceKind::kCosine) {
+      simd::ScoreBlock(query, 1, rows, count, d, dots);
+      simd::CosineDistances(dots, query_norm, norms_.data() + start, distances,
+                            count);
+    } else {
       for (int j = 0; j < count; ++j) {
-        const int i = start + j;
-        if (filter != nullptr && !filter(i)) continue;
-        const double row_norm = norms_[i];
-        const double distance =
-            (query_norm == 0.0 || row_norm == 0.0)
-                ? 1.0
-                : 1.0 - dots[j] / (query_norm * row_norm);
-        // Never reallocates: capacity reserved to the full row count
-        // before the scan.
-        // hlm-lint: allow(hot-path-alloc)
-        neighbors.push_back(Neighbor{i, distance});
+        distances[j] =
+            std::sqrt(simd::SquaredDistance(query, rows + j * d, d));
       }
     }
-    // hlm-lint: hot-path end
-  } else {
-    for (int i = 0; i < size(); ++i) {
-      if (filter != nullptr && !filter(i)) continue;
-      const double distance = std::sqrt(
-          simd::SquaredDistance(query, flat_.data() + i * d, d));
-      neighbors.push_back(Neighbor{i, distance});
+    for (int j = 0; j < count; ++j) {
+      if (distances[j] > worst) continue;
+      const int i = start + j;
+      if (i == exclude || (filter != nullptr && !filter(i))) continue;
+      const Neighbor hit{i, distances[j]};
+      if (filled < keep) {
+        heap[filled++] = hit;
+        std::push_heap(heap.begin(), heap.begin() + filled, CloserThan);
+      } else if (CloserThan(hit, heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), CloserThan);
+        heap.back() = hit;
+        std::push_heap(heap.begin(), heap.end(), CloserThan);
+      } else {
+        continue;
+      }
+      if (filled == keep) worst = heap.front().distance;
     }
   }
-  size_t keep = std::min<size_t>(k, neighbors.size());
-  std::partial_sort(neighbors.begin(), neighbors.begin() + keep,
-                    neighbors.end(),
-                    [](const Neighbor& a, const Neighbor& b) {
-                      return a.distance < b.distance ||
-                             (a.distance == b.distance &&
-                              a.company_id < b.company_id);
-                    });
-  neighbors.resize(keep);
-  return neighbors;
+  // hlm-lint: hot-path end
+  heap.resize(filled);
+  std::sort_heap(heap.begin(), heap.end(), CloserThan);
+  return heap;
 }
 
 }  // namespace hlm::recsys

@@ -29,12 +29,21 @@ struct Neighbor {
 ///
 /// Construction copies the representations into one contiguous
 /// row-major block, the index's only copy of them, and caches each
-/// row's euclidean norm, so queries run as tiled simd::ScoreBlock scans
-/// (cosine) or contiguous kernel distance calls (euclidean). The source
-/// matrix may be destroyed once the constructor returns. The batched
-/// cosine path is bit-identical to per-row CosineDistance: the block
-/// kernel's dot obeys the same lane-blocked contract, and the norms are
-/// the same sqrt(SquaredNorm) values.
+/// row's euclidean norm. The source matrix may be destroyed once the
+/// constructor returns. A query scans the rows in tiles: cosine tiles
+/// are one simd::ScoreBlock call plus one simd::CosineDistances call
+/// over the cached norms, euclidean tiles one SquaredDistance per row.
+/// Each distance is bit-identical to per-row CosineDistance /
+/// EuclideanDistance: the block kernel's dot obeys the same lane-blocked
+/// contract and the norms are the same sqrt(SquaredNorm) values.
+///
+/// Selection keeps a bounded max-heap of min(k, size()) hits ordered by
+/// (distance, company_id), so the result is exactly the first k rows of
+/// a full sort by that key. A row farther than the heap's current worst
+/// is dropped before the filter runs, so the filter must be a pure
+/// predicate of the company id: it is called only for rows that could
+/// still enter the result, in ascending id order, and not for the query
+/// row of TopK.
 class SimilaritySearch {
  public:
   SimilaritySearch(const std::vector<std::vector<double>>& representations,
@@ -56,10 +65,11 @@ class SimilaritySearch {
       const std::function<bool(int)>& filter = nullptr) const;
 
  private:
-  /// TopKForVector over a query of `query_size` doubles at `query`.
+  /// TopKForVector over a query of `query_size` doubles at `query`,
+  /// skipping row `exclude` (-1 skips nothing).
   Result<std::vector<Neighbor>> TopKForRow(
       const double* query, size_t query_size, int k,
-      const std::function<bool(int)>& filter) const;
+      const std::function<bool(int)>& filter, int exclude) const;
 
   cluster::DistanceKind kind_;
   int size_ = 0;

@@ -6,7 +6,10 @@
 // runs this binary under both HLM_SIMD=off and HLM_SIMD=auto, so every
 // assertion holds on whichever path the dispatcher picks.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -104,6 +107,17 @@ TEST(KernelParityTest, ElementwiseKernelsMatchNaiveAtAllResidues) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ((a[i] + 0.1) * (b[i] + 0.01) / (totals[i] + 2.0), out[i]);
     }
+
+    // Zero-norm rows and a zero-norm query score exactly 1.
+    std::vector<double> norms(n);
+    for (size_t i = 0; i < n; ++i) norms[i] = i % 3 == 1 ? 0.0 : totals[i];
+    CosineDistances(a.data(), 1.75, norms.data(), out.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(norms[i] == 0.0 ? 1.0 : 1.0 - a[i] / (1.75 * norms[i]),
+                out[i]);
+    }
+    CosineDistances(a.data(), 0.0, norms.data(), out.data(), n);
+    for (double distance : out) EXPECT_EQ(1.0, distance);
   }
 }
 
@@ -120,7 +134,7 @@ TEST(KernelParityTest, MatVecAndScoreBlockMatchPerRowDot) {
     }
 
     const size_t num_queries = 3;
-    const size_t num_items = 5;  // odd: exercises ScoreBlock's row pairing
+    const size_t num_items = 5;  // one 4-item tile plus a remainder row
     std::vector<double> queries = RandomVector(num_queries * d, &rng);
     std::vector<double> items = RandomVector(num_items * d, &rng);
     std::vector<double> out(num_queries * num_items, 0.0);
@@ -193,6 +207,75 @@ TEST(KernelBitExactTest, PortableAndAvx2AgreeBitwise) {
     portable.score_block(queries.data(), 2, items.data(), 5, d, b1.data());
     avx2->score_block(queries.data(), 2, items.data(), 5, d, b2.data());
     EXPECT_EQ(b1, b2);
+  }
+}
+
+// The similarity scan's two kernels: ScoreBlock's 4-item register tile
+// (every remainder of num_items % 4 and every tail width d % 4) and
+// CosineDistances over its dots, including zero rows and a zero query.
+// The AVX2 tile must match the portable path bit for bit, and each
+// distance must equal the scalar formula.
+TEST(KernelBitExactTest, ScoreBlockTileAndCosineDistancesAgreeBitwise) {
+  const internal::KernelTable& portable = internal::PortableTable();
+  const internal::KernelTable* avx2 = internal::Avx2Table();
+  if (avx2 == nullptr || !Avx2Available()) {
+    GTEST_SKIP() << "AVX2 path not available on this build/host";
+  }
+  auto bits = [](const std::vector<double>& v) {
+    std::vector<uint64_t> out;
+    for (double x : v) out.push_back(std::bit_cast<uint64_t>(x));
+    return out;
+  };
+  Rng rng(505);
+  for (size_t d = 1; d <= 9; ++d) {
+    for (size_t num_items : {0u, 1u, 2u, 3u, 4u, 5u, 127u, 128u, 129u}) {
+      for (size_t num_queries : {1u, 3u}) {
+        std::vector<double> queries = RandomVector(num_queries * d, &rng);
+        std::vector<double> items = RandomVector(num_items * d, &rng);
+        // Every fifth item is a zero row; with three queries the last
+        // one is a zero query.
+        for (size_t j = 2; j < num_items; j += 5) {
+          std::fill_n(items.begin() + j * d, d, 0.0);
+        }
+        if (num_queries == 3) std::fill_n(queries.begin() + 2 * d, d, 0.0);
+
+        std::vector<double> dots1(num_queries * num_items, -7.0);
+        std::vector<double> dots2 = dots1;
+        portable.score_block(queries.data(), num_queries, items.data(),
+                             num_items, d, dots1.data());
+        avx2->score_block(queries.data(), num_queries, items.data(),
+                          num_items, d, dots2.data());
+        ASSERT_EQ(bits(dots1), bits(dots2))
+            << "d=" << d << " items=" << num_items
+            << " queries=" << num_queries;
+
+        std::vector<double> norms(num_items);
+        for (size_t j = 0; j < num_items; ++j) {
+          norms[j] = std::sqrt(portable.squared_norm(items.data() + j * d, d));
+        }
+        for (size_t q = 0; q < num_queries; ++q) {
+          const double query_norm =
+              std::sqrt(portable.squared_norm(queries.data() + q * d, d));
+          const double* dots = dots1.data() + q * num_items;
+          std::vector<double> out1(num_items, -7.0);
+          std::vector<double> out2 = out1;
+          portable.cosine_distances(dots, query_norm, norms.data(),
+                                    out1.data(), num_items);
+          avx2->cosine_distances(dots, query_norm, norms.data(), out2.data(),
+                                 num_items);
+          ASSERT_EQ(bits(out1), bits(out2))
+              << "d=" << d << " items=" << num_items << " query=" << q;
+          for (size_t j = 0; j < num_items; ++j) {
+            const double expected =
+                (query_norm == 0.0 || norms[j] == 0.0)
+                    ? 1.0
+                    : 1.0 - dots[j] / (query_norm * norms[j]);
+            EXPECT_EQ(std::bit_cast<uint64_t>(expected),
+                      std::bit_cast<uint64_t>(out1[j]));
+          }
+        }
+      }
+    }
   }
 }
 

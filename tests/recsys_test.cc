@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -8,6 +12,7 @@
 #include "corpus/month.h"
 #include "corpus/product_taxonomy.h"
 #include "math/rng.h"
+#include "math/simd/kernels.h"
 #include "math/vector_ops.h"
 #include "obs/metrics.h"
 #include "recsys/evaluation.h"
@@ -318,12 +323,23 @@ TEST(SimilaritySearchTest, OutlivesSourceMatrix) {
   EXPECT_EQ((*by_vector)[0].company_id, 0);
 }
 
+// /v1/similar accepts k up to 1,000,000. The heap is bounded by the
+// index, so a huge k returns every other row in order, and the filter
+// never sees the query row.
 TEST(SimilaritySearchTest, KLargerThanCorpusReturnsAll) {
-  std::vector<std::vector<double>> reps = {{0.0}, {1.0}, {2.0}};
+  std::vector<std::vector<double>> reps = {
+      {0.5}, {0.0}, {0.25}, {1.0}, {0.5}, {0.75}};
   SimilaritySearch search(reps, cluster::DistanceKind::kEuclidean);
-  auto hits = search.TopK(1, 100);
+  auto hits = search.TopK(2, 1000000, [](int id) {
+    EXPECT_NE(id, 2);
+    return true;
+  });
   ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 2u);
+  std::vector<int> ids;
+  for (const Neighbor& hit : *hits) ids.push_back(hit.company_id);
+  // Rows 0, 1 and 4 tie at 0.25 and come out in id order.
+  EXPECT_EQ(ids, (std::vector<int>{0, 1, 4, 5, 3}));
+  EXPECT_EQ((*hits)[0].distance, (*hits)[2].distance);
 }
 
 // Regression: an empty index used to skip the dimensionality check
@@ -417,6 +433,105 @@ TEST(SimilaritySearchTest, ErrorsIncrementRecsysErrorCounters) {
   ASSERT_TRUE(search.TopK(0, 1).ok());
   EXPECT_EQ(metrics.GetCounter("hlm.recsys.errors_total")->value(),
             total_before + 3);
+}
+
+// Exhaustive reference for TopK/TopKForVector: every admitted row's
+// distance, fully sorted by (distance, company_id), cut to k.
+std::vector<Neighbor> ReferenceTopK(
+    const std::vector<std::vector<double>>& reps,
+    cluster::DistanceKind kind, const std::vector<double>& query, int k,
+    int exclude, const std::function<bool(int)>& filter) {
+  std::vector<Neighbor> all;
+  for (int i = 0; i < static_cast<int>(reps.size()); ++i) {
+    if (i == exclude || (filter != nullptr && !filter(i))) continue;
+    all.push_back(Neighbor{i, kind == cluster::DistanceKind::kCosine
+                                  ? CosineDistance(query, reps[i])
+                                  : EuclideanDistance(query, reps[i])});
+  }
+  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
+    return a.distance < b.distance ||
+           (a.distance == b.distance && a.company_id < b.company_id);
+  });
+  all.resize(std::min<size_t>(all.size(), static_cast<size_t>(k)));
+  return all;
+}
+
+void ExpectSameHits(const std::vector<Neighbor>& expected,
+                    const Result<std::vector<Neighbor>>& actual,
+                    const std::string& where) {
+  ASSERT_TRUE(actual.ok()) << where;
+  ASSERT_EQ(actual->size(), expected.size()) << where;
+  for (size_t r = 0; r < expected.size(); ++r) {
+    EXPECT_EQ((*actual)[r].company_id, expected[r].company_id)
+        << where << " rank " << r;
+    EXPECT_EQ((*actual)[r].distance, expected[r].distance)
+        << where << " rank " << r;
+  }
+}
+
+// The bounded, distance-gated heap returns exactly the head of a full
+// sort, on both kernel paths: exact ties from duplicated rows, zero-norm
+// rows and queries, widths and row counts off the 4-lane and 128-row
+// tiles, k from 1 past the row count, and a filter that rejects most
+// rows.
+TEST(SimilaritySearchTest, TopKMatchesExhaustiveSortedReference) {
+  const bool was_avx2 = simd::ActivePathName() == "avx2";
+  std::vector<simd::SimdMode> modes = {simd::SimdMode::kOff};
+  if (simd::Avx2Available()) modes.push_back(simd::SimdMode::kAvx2);
+  const std::function<bool(int)> rejects_most = [](int id) {
+    return id % 7 == 3;
+  };
+  for (simd::SimdMode mode : modes) {
+    ASSERT_TRUE(simd::SetSimdMode(mode).ok());
+    for (auto [n, d] : {std::pair{2, 1}, {7, 3}, {130, 4}, {257, 5},
+                        {300, 9}}) {
+      Rng rng(1000 + 31 * n + d);
+      std::vector<std::vector<double>> reps(n, std::vector<double>(d));
+      for (int i = 0; i < n; ++i) {
+        if (i % 5 == 4) {
+          reps[i] = reps[i / 2];  // exact duplicate: tied distances
+        } else if (i % 11 == 6) {
+          reps[i].assign(d, 0.0);  // zero-norm row
+        } else {
+          for (double& v : reps[i]) v = rng.NextDouble();
+        }
+      }
+      std::vector<double> random_query(d);
+      for (double& v : random_query) v = 2.0 * rng.NextDouble() - 1.0;
+      for (cluster::DistanceKind kind : {cluster::DistanceKind::kCosine,
+                                         cluster::DistanceKind::kEuclidean}) {
+        SimilaritySearch search(reps, kind);
+        for (int k : {1, n - 1, n, n + 5}) {
+          if (k <= 0) continue;
+          for (bool filtered : {false, true}) {
+            const std::function<bool(int)> f =
+                filtered ? rejects_most : nullptr;
+            const std::string where =
+                "mode=" + simd::ActivePathName() + " n=" +
+                std::to_string(n) + " d=" + std::to_string(d) +
+                " cosine=" +
+                std::to_string(kind == cluster::DistanceKind::kCosine) +
+                " k=" + std::to_string(k) +
+                " filtered=" + std::to_string(filtered);
+            for (int q = 0; q < n; q += std::max(1, n / 9)) {
+              ExpectSameHits(ReferenceTopK(reps, kind, reps[q], k, q, f),
+                             search.TopK(q, k, f),
+                             where + " query=" + std::to_string(q));
+            }
+            for (const std::vector<double>& query :
+                 {random_query, std::vector<double>(d, 0.0), reps[n - 1]}) {
+              ExpectSameHits(ReferenceTopK(reps, kind, query, k, -1, f),
+                             search.TopKForVector(query, k, f),
+                             where + " vector query");
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(simd::SetSimdMode(was_avx2 ? simd::SimdMode::kAuto
+                                         : simd::SimdMode::kOff)
+                  .ok());
 }
 
 }  // namespace

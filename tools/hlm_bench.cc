@@ -298,14 +298,22 @@ void RunSuite(const SuiteEnv& env, const std::string& run_id) {
     Phase phase("similarity_search");
     rows = repr::LdaRepresentation(lda, env.world.corpus);
     recsys::SimilaritySearch search(rows, cluster::DistanceKind::kCosine);
-    double checksum = 0.0;
-    for (int i = 0; i < search.size(); ++i) {
-      Result<std::vector<recsys::Neighbor>> neighbors = search.TopK(i, 10);
-      HLM_CHECK_OK(neighbors.status());
-      for (const recsys::Neighbor& n : *neighbors) {
-        checksum += n.distance + static_cast<double>(n.company_id);
-      }
-    }
+    // Queries fan out over the pool; the ordered reduce adds hits in row
+    // order, so the checksum is the serial loop's at any --threads.
+    const double checksum = ParallelMapReduce(
+        0, static_cast<size_t>(search.size()), 0, 0.0,
+        [&search](size_t i) {
+          Result<std::vector<recsys::Neighbor>> neighbors =
+              search.TopK(static_cast<int>(i), 10);
+          HLM_CHECK_OK(neighbors.status());
+          return std::move(*neighbors);
+        },
+        [](double sum, std::vector<recsys::Neighbor> neighbors) {
+          for (const recsys::Neighbor& n : neighbors) {
+            sum += n.distance + static_cast<double>(n.company_id);
+          }
+          return sum;
+        });
     metrics.GetGauge("hlm.bench.similarity_checksum")->Set(checksum);
   }
 
