@@ -248,8 +248,9 @@ CLEANUP_PATHS+=("$SNAP_DIR")
 "$BUILD_DIR/tools/hlm_snapshot" save --dir "$SNAP_DIR" --companies 120
 "$BUILD_DIR/tools/hlm_snapshot" verify --manifest "$SNAP_DIR/manifest.txt"
 "$BUILD_DIR/tools/hlm_snapshot" load --manifest "$SNAP_DIR/manifest.txt"
-# Corruption must be caught: appending one byte breaks the container.
-printf 'x' >> "$SNAP_DIR/ngram.snap"
+# Corruption must be caught: appending one byte to the snapshot the
+# server reads for /v1/similar breaks the container.
+printf 'x' >> "$SNAP_DIR/lda_repr.snap"
 if "$BUILD_DIR/tools/hlm_snapshot" verify \
     --manifest "$SNAP_DIR/manifest.txt" >/dev/null 2>&1; then
   echo "hlm_snapshot verify missed a corrupted snapshot" >&2

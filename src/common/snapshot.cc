@@ -175,6 +175,18 @@ Status SnapshotReader::ExpectKind(const std::string& kind,
   return Status::OK();
 }
 
+Status SnapshotReader::CheckShape(size_t rows, size_t cols) const {
+  const size_t bytes = payload_.size();
+  if (rows > bytes || cols > bytes || (rows != 0 && cols > bytes / rows)) {
+    return TrackError(
+        "snapshot",
+        Status::DataLoss("snapshot shape " + std::to_string(rows) + " x " +
+                         std::to_string(cols) + " does not fit its " +
+                         std::to_string(bytes) + "-byte payload: " + path_));
+  }
+  return Status::OK();
+}
+
 Status SnapshotReader::Finish() {
   if (stream_.fail()) {
     return TrackError(

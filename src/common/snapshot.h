@@ -1,6 +1,7 @@
 #ifndef HLM_COMMON_SNAPSHOT_H_
 #define HLM_COMMON_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -61,6 +62,13 @@ class SnapshotReader {
   Status ExpectKind(const std::string& kind, int kind_version) const;
 
   std::istream& payload() { return stream_; }
+
+  /// DataLoss unless a `rows` x `cols` block of text values parsed from
+  /// the payload can fit in it: every value takes at least one byte, and
+  /// so does every row (its newline), so neither count nor their product
+  /// may exceed the payload's byte count. Overflow-safe; loaders call it
+  /// on parsed counts before allocating from them.
+  Status CheckShape(size_t rows, size_t cols) const;
 
   /// Call after parsing: the payload must be fully consumed (only
   /// trailing whitespace allowed) and the stream must not have failed.

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/snapshot.h"
 #include "math/mvn.h"
 #include "math/rng.h"
 #include "math/simd/kernels.h"
@@ -269,52 +268,6 @@ std::vector<double> BpmfModel::AllScores() const {
   HLM_CHECK(trained_);
   return std::vector<double>(scores_.data(),
                              scores_.data() + scores_.size());
-}
-
-Status BpmfModel::SaveToFile(const std::string& path) const {
-  if (!trained_) return Status::FailedPrecondition("model not trained");
-  SnapshotWriter writer("bpmf", 1);
-  std::ostream& out = writer.payload();
-  out << config_.rank << ' ' << config_.obs_precision << ' '
-      << config_.burn_in << ' ' << config_.samples << ' ' << config_.beta0
-      << ' ' << config_.seed << '\n';
-  out << scores_.rows() << ' ' << scores_.cols() << '\n';
-  for (size_t i = 0; i < scores_.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << scores_.data()[i];
-  }
-  out << '\n';
-  return writer.CommitToFile(path);
-}
-
-Result<BpmfModel> BpmfModel::LoadFromFile(const std::string& path) {
-  HLM_ASSIGN_OR_RETURN(SnapshotReader reader,
-                       SnapshotReader::Open(path));
-  HLM_RETURN_IF_ERROR(reader.ExpectKind("bpmf", 1));
-  std::istream& in = reader.payload();
-  BpmfConfig config;
-  in >> config.rank >> config.obs_precision >> config.burn_in >>
-      config.samples >> config.beta0 >> config.seed;
-  if (!in || config.rank <= 0 || config.obs_precision <= 0.0) {
-    return Status::DataLoss("corrupt bpmf snapshot header: " + path);
-  }
-  size_t rows = 0, cols = 0;
-  in >> rows >> cols;
-  if (!in || rows == 0 || cols == 0 || rows * cols > (1u << 28)) {
-    return Status::DataLoss("corrupt bpmf score-matrix shape: " + path);
-  }
-  BpmfModel model(config);
-  model.scores_ = Matrix(rows, cols);
-  for (size_t i = 0; i < model.scores_.size(); ++i) {
-    in >> model.scores_.data()[i];
-  }
-  HLM_RETURN_IF_ERROR(reader.Finish());
-  if (!check_internal::AllFinite(model.scores_.data(),
-                                 model.scores_.size())) {
-    return Status::DataLoss("non-finite bpmf scores: " + path);
-  }
-  model.trained_ = true;
-  return model;
 }
 
 }  // namespace hlm::models

@@ -62,16 +62,6 @@ class BpmfModel {
   /// All predicted scores flattened (for Fig. 5's boxplot).
   std::vector<double> AllScores() const;
 
-  /// Persists the trained model: hyperparameters plus the posterior-mean
-  /// score matrix, which is the model's entire serving state (the factor
-  /// matrices are integrated out during Gibbs sampling — only their
-  /// averaged predictions are retained after training).
-  Status SaveToFile(const std::string& path) const;
-
-  /// Restores a model saved by SaveToFile; PredictScore/AllScores are
-  /// bit-identical to the saved model up to text round-trip precision.
-  static Result<BpmfModel> LoadFromFile(const std::string& path);
-
  private:
   BpmfConfig config_;
   bool trained_ = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -161,107 +160,6 @@ ConditionalHeavyHitters::ExtractRules(double min_confidence) const {
   return rules;
 }
 
-namespace {
-
-/// Context keys in ascending order, so snapshots are byte-stable across
-/// runs regardless of hash-map layout.
-template <typename MapT>
-std::vector<uint64_t> SortedContextKeys(const MapT& contexts) {
-  std::vector<uint64_t> keys;
-  keys.reserve(contexts.size());
-  // Order-insensitive collect; the sort below imposes the total order.
-  for (const auto& [key, counts] : contexts) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-/// (token, count) pairs of one successor map in ascending token order.
-std::vector<std::pair<Token, long long>> SortedSuccessors(
-    const std::unordered_map<Token, long long>& successors) {
-  // Order-insensitive collect; the sort below imposes the total order.
-  // hlm-lint: allow(unordered-iter)
-  std::vector<std::pair<Token, long long>> pairs(successors.begin(),
-                                                 successors.end());
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
-}
-
-}  // namespace
-
-Status ConditionalHeavyHitters::SaveToFile(const std::string& path) const {
-  SnapshotWriter writer("chh", 1);
-  std::ostream& out = writer.payload();
-  out << vocab_size_ << ' ' << config_.context_depth << ' '
-      << config_.min_context_support << ' ' << config_.add_k << ' '
-      << total_tokens_ << ' ' << total_transitions_ << '\n';
-  for (size_t w = 0; w < unigram_.size(); ++w) {
-    if (w > 0) out << ' ';
-    out << unigram_[w];
-  }
-  out << '\n';
-  out << contexts_.size() << '\n';
-  // The Sorted* helpers impose ascending key order before iteration.
-  // hlm-lint: allow(unordered-iter)
-  for (uint64_t key : SortedContextKeys(contexts_)) {
-    const ContextCounts& counts = contexts_.at(key);
-    out << key << ' ' << counts.total << ' ' << counts.successors.size()
-        << '\n';
-    // hlm-lint: allow(unordered-iter)
-    for (const auto& [token, joint] : SortedSuccessors(counts.successors)) {
-      out << token << ' ' << joint << '\n';
-    }
-  }
-  return writer.CommitToFile(path);
-}
-
-Result<ConditionalHeavyHitters> ConditionalHeavyHitters::LoadFromFile(
-    const std::string& path) {
-  HLM_ASSIGN_OR_RETURN(SnapshotReader reader,
-                       SnapshotReader::Open(path));
-  HLM_RETURN_IF_ERROR(reader.ExpectKind("chh", 1));
-  std::istream& in = reader.payload();
-  int vocab = 0;
-  ChhConfig config;
-  long long total_tokens = 0, total_transitions = 0;
-  in >> vocab >> config.context_depth >> config.min_context_support >>
-      config.add_k >> total_tokens >> total_transitions;
-  if (!in || vocab <= 0 || vocab >= 253 || config.context_depth < 1 ||
-      config.context_depth > 6) {
-    return Status::DataLoss("corrupt chh snapshot header: " + path);
-  }
-  ConditionalHeavyHitters model(vocab, config);
-  model.total_tokens_ = total_tokens;
-  model.total_transitions_ = total_transitions;
-  for (long long& count : model.unigram_) in >> count;
-  size_t num_contexts = 0;
-  in >> num_contexts;
-  if (!in || num_contexts > (1u << 26)) {
-    return Status::DataLoss("corrupt chh context table: " + path);
-  }
-  for (size_t c = 0; c < num_contexts; ++c) {
-    uint64_t key = 0;
-    long long total = 0;
-    size_t num_successors = 0;
-    in >> key >> total >> num_successors;
-    if (!in || num_successors > static_cast<size_t>(vocab)) {
-      return Status::DataLoss("corrupt chh context entry: " + path);
-    }
-    ContextCounts& counts = model.contexts_[key];
-    counts.total = total;
-    for (size_t s = 0; s < num_successors; ++s) {
-      Token token = 0;
-      long long joint = 0;
-      in >> token >> joint;
-      if (!in || token < 0 || token >= vocab) {
-        return Status::DataLoss("corrupt chh successor entry: " + path);
-      }
-      counts.successors[token] = joint;
-    }
-  }
-  HLM_RETURN_IF_ERROR(reader.Finish());
-  return model;
-}
-
 ApproximateChh::ApproximateChh(int vocab_size, ChhConfig config,
                                size_t max_contexts, size_t sketch_capacity)
     : vocab_size_(vocab_size),
@@ -339,87 +237,6 @@ std::vector<double> ApproximateChh::NextProductDistribution(
   }
   ExcludeOwnedAndRenormalize(history, &dist);
   return dist;
-}
-
-Status ApproximateChh::SaveToFile(const std::string& path) const {
-  SnapshotWriter writer("chh-approx", 1);
-  std::ostream& out = writer.payload();
-  out << vocab_size_ << ' ' << config_.context_depth << ' '
-      << config_.min_context_support << ' ' << config_.add_k << ' '
-      << max_contexts_ << ' ' << sketch_capacity_ << ' ' << total_tokens_
-      << '\n';
-  for (size_t w = 0; w < unigram_.size(); ++w) {
-    if (w > 0) out << ' ';
-    out << unigram_[w];
-  }
-  out << '\n';
-  out << contexts_.size() << '\n';
-  // SortedContextKeys imposes ascending key order before iteration.
-  // hlm-lint: allow(unordered-iter)
-  for (uint64_t key : SortedContextKeys(contexts_)) {
-    const SketchedContext& context = contexts_.at(key);
-    std::vector<SpaceSavingSketch::Entry> entries =
-        context.sketch.HeavyHitters();
-    // Byte-stable ordering: HeavyHitters sorts by count; re-sort by item.
-    std::sort(entries.begin(), entries.end(),
-              [](const SpaceSavingSketch::Entry& a,
-                 const SpaceSavingSketch::Entry& b) { return a.item < b.item; });
-    out << key << ' ' << context.total << ' '
-        << context.sketch.total_observed() << ' '
-        << context.sketch.MaxError() << ' ' << entries.size() << '\n';
-    for (const SpaceSavingSketch::Entry& entry : entries) {
-      out << entry.item << ' ' << entry.count << ' ' << entry.error << '\n';
-    }
-  }
-  return writer.CommitToFile(path);
-}
-
-Result<ApproximateChh> ApproximateChh::LoadFromFile(const std::string& path) {
-  HLM_ASSIGN_OR_RETURN(SnapshotReader reader,
-                       SnapshotReader::Open(path));
-  HLM_RETURN_IF_ERROR(reader.ExpectKind("chh-approx", 1));
-  std::istream& in = reader.payload();
-  int vocab = 0;
-  ChhConfig config;
-  size_t max_contexts = 0, sketch_capacity = 0;
-  long long total_tokens = 0;
-  in >> vocab >> config.context_depth >> config.min_context_support >>
-      config.add_k >> max_contexts >> sketch_capacity >> total_tokens;
-  if (!in || vocab <= 0 || vocab >= 253 || max_contexts == 0 ||
-      sketch_capacity == 0) {
-    return Status::DataLoss("corrupt chh-approx snapshot header: " + path);
-  }
-  ApproximateChh model(vocab, config, max_contexts, sketch_capacity);
-  model.total_tokens_ = total_tokens;
-  for (long long& count : model.unigram_) in >> count;
-  size_t num_contexts = 0;
-  in >> num_contexts;
-  if (!in || num_contexts > max_contexts) {
-    return Status::DataLoss("corrupt chh-approx context table: " + path);
-  }
-  for (size_t c = 0; c < num_contexts; ++c) {
-    uint64_t key = 0;
-    long long total = 0, sketch_total = 0, sketch_min_count = 0;
-    size_t num_entries = 0;
-    in >> key >> total >> sketch_total >> sketch_min_count >> num_entries;
-    if (!in || num_entries > sketch_capacity) {
-      return Status::DataLoss("corrupt chh-approx context entry: " + path);
-    }
-    std::vector<SpaceSavingSketch::Entry> entries(num_entries);
-    for (SpaceSavingSketch::Entry& entry : entries) {
-      in >> entry.item >> entry.count >> entry.error;
-      if (!in || entry.item < 0 || entry.item >= vocab) {
-        return Status::DataLoss("corrupt chh-approx sketch entry: " + path);
-      }
-    }
-    SketchedContext context(sketch_capacity);
-    context.total = total;
-    context.sketch = SpaceSavingSketch::FromState(
-        sketch_capacity, sketch_total, sketch_min_count, entries);
-    model.contexts_.emplace(key, std::move(context));
-  }
-  HLM_RETURN_IF_ERROR(reader.Finish());
-  return model;
 }
 
 }  // namespace hlm::models

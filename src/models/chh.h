@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
 #include "models/model.h"
 #include "models/space_saving.h"
 
@@ -69,12 +68,6 @@ class ConditionalHeavyHitters final : public ConditionalScorer {
   static uint64_t PackContext(const Token* tokens, int length);
   static TokenSequence UnpackContext(uint64_t key);
 
-  /// Persists the full counter state (contexts, successors, unigram) so
-  /// a reloaded model scores and extracts rules bit-identically.
-  Status SaveToFile(const std::string& path) const;
-  static Result<ConditionalHeavyHitters> LoadFromFile(
-      const std::string& path);
-
  private:
   struct ContextCounts {
     long long total = 0;
@@ -111,13 +104,6 @@ class ApproximateChh final : public ConditionalScorer {
   std::string name() const override { return "chh-approx"; }
 
   size_t num_contexts() const { return contexts_.size(); }
-
-  /// Persists the sketched counter state exactly (per-context
-  /// SpaceSaving entries with counts, error bounds, and eviction floor),
-  /// so a reloaded model both scores bit-identically and continues
-  /// streaming identically to a never-saved twin.
-  Status SaveToFile(const std::string& path) const;
-  static Result<ApproximateChh> LoadFromFile(const std::string& path);
 
  private:
   struct SketchedContext {

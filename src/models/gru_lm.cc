@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/snapshot.h"
 #include "math/simd/kernels.h"
 #include "models/adam.h"
 #include "models/perplexity.h"
@@ -325,96 +324,6 @@ std::vector<double> GruLanguageModel::NextProductDistribution(
 long long GruLanguageModel::NumParameters() const {
   return static_cast<long long>(embedding_.size()) + wx_.size() +
          wh_.size() + bias_.size() + w_out_.size() + b_out_.size();
-}
-
-namespace {
-
-// Mirrors the lstm_lm.cc matrix framing (dims line, then row-major
-// values); the snapshot payload stream carries precision 17, so doubles
-// survive the text round trip exactly.
-void WriteMatrix(std::ostream& out, const Matrix& m) {
-  out << m.rows() << ' ' << m.cols() << '\n';
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << m.data()[i];
-  }
-  out << '\n';
-}
-
-bool ReadMatrix(std::istream& in, Matrix* m) {
-  size_t rows = 0, cols = 0;
-  in >> rows >> cols;
-  if (!in || rows == 0 || cols == 0 || rows * cols > (1u << 28)) {
-    return false;
-  }
-  *m = Matrix(rows, cols);
-  for (size_t i = 0; i < m->size(); ++i) in >> m->data()[i];
-  return static_cast<bool>(in);
-}
-
-void WriteVector(std::ostream& out, const std::vector<double>& v) {
-  out << v.size() << '\n';
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << v[i];
-  }
-  out << '\n';
-}
-
-bool ReadVectorInto(std::istream& in, std::vector<double>* v) {
-  size_t size = 0;
-  in >> size;
-  if (!in || size != v->size()) return false;
-  for (double& value : *v) in >> value;
-  return static_cast<bool>(in);
-}
-
-}  // namespace
-
-Status GruLanguageModel::SaveToFile(const std::string& path) const {
-  SnapshotWriter writer("gru", 1);
-  std::ostream& out = writer.payload();
-  out << vocab_size_ << ' ' << config_.hidden_size << ' '
-      << config_.learning_rate << ' ' << config_.epochs << ' '
-      << config_.grad_clip << ' ' << config_.seed << '\n';
-  WriteMatrix(out, embedding_);
-  WriteMatrix(out, wx_);
-  WriteMatrix(out, wh_);
-  WriteVector(out, bias_);
-  WriteMatrix(out, w_out_);
-  WriteVector(out, b_out_);
-  return writer.CommitToFile(path);
-}
-
-Result<std::unique_ptr<GruLanguageModel>> GruLanguageModel::LoadFromFile(
-    const std::string& path) {
-  HLM_ASSIGN_OR_RETURN(SnapshotReader reader,
-                       SnapshotReader::Open(path));
-  HLM_RETURN_IF_ERROR(reader.ExpectKind("gru", 1));
-  std::istream& in = reader.payload();
-  int vocab = 0;
-  GruConfig config;
-  in >> vocab >> config.hidden_size >> config.learning_rate >>
-      config.epochs >> config.grad_clip >> config.seed;
-  if (!in || vocab <= 0 || config.hidden_size <= 0) {
-    return Status::DataLoss("corrupt hlm-gru header: " + path);
-  }
-  auto model = std::make_unique<GruLanguageModel>(vocab, config);
-  if (!ReadMatrix(in, &model->embedding_) || !ReadMatrix(in, &model->wx_) ||
-      !ReadMatrix(in, &model->wh_)) {
-    return Status::DataLoss("truncated hlm-gru file: " + path);
-  }
-  if (!ReadVectorInto(in, &model->bias_)) {
-    return Status::DataLoss("corrupt hlm-gru bias block: " + path);
-  }
-  if (!ReadMatrix(in, &model->w_out_)) {
-    return Status::DataLoss("truncated hlm-gru file: " + path);
-  }
-  if (!ReadVectorInto(in, &model->b_out_)) {
-    return Status::DataLoss("corrupt hlm-gru output bias: " + path);
-  }
-  HLM_RETURN_IF_ERROR(reader.Finish());
-  return model;
 }
 
 }  // namespace hlm::models

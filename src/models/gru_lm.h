@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "models/model.h"
@@ -53,13 +52,6 @@ class GruLanguageModel final : public ConditionalScorer {
   }
 
   long long NumParameters() const;
-
-  /// Serializes config + weights into an hlm-snapshot container
-  /// (kind "gru", version 1). Doubles round-trip losslessly, so a
-  /// loaded model scores bit-identically to the saved one.
-  Status SaveToFile(const std::string& path) const;
-  static Result<std::unique_ptr<GruLanguageModel>> LoadFromFile(
-      const std::string& path);
 
  private:
   struct Step;

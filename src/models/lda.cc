@@ -1,6 +1,7 @@
 #include "models/lda.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -512,9 +513,17 @@ Result<LdaModel> LdaModel::LoadFromFile(const std::string& path) {
   LdaConfig config;
   in >> vocab >> config.num_topics >> config.alpha >> config.beta >>
       config.inference_burn_in >> config.inference_samples >> config.seed;
-  if (!in || vocab <= 0 || config.num_topics <= 0) {
+  // Fold-in runs burn_in + samples sweeps and divides by samples, so
+  // both are bounded here: 0 samples would serve a NaN mixture.
+  if (!in || vocab <= 0 || config.num_topics <= 0 || !(config.alpha > 0.0) ||
+      !(config.beta > 0.0) || config.inference_burn_in < 0 ||
+      config.inference_samples <= 0 ||
+      config.inference_burn_in >
+          std::numeric_limits<int>::max() - config.inference_samples) {
     return Status::DataLoss("corrupt lda snapshot header: " + path);
   }
+  HLM_RETURN_IF_ERROR(reader.CheckShape(static_cast<size_t>(config.num_topics),
+                                        static_cast<size_t>(vocab)));
   LdaModel model(vocab, config);
   model.phi_.assign(config.num_topics, std::vector<double>(vocab, 0.0));
   for (auto& row : model.phi_) {

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "common/snapshot.h"
 #include "math/simd/kernels.h"
 #include "models/adam.h"
 #include "models/perplexity.h"
@@ -600,104 +599,6 @@ std::vector<double> LstmLanguageModel::CompanyEmbedding(
   }
   const double* top = hidden.back().row(0);
   return std::vector<double>(top, top + h);
-}
-
-namespace {
-
-void WriteMatrix(std::ostream& out, const Matrix& m) {
-  out << m.rows() << ' ' << m.cols() << '\n';
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << m.data()[i];
-  }
-  out << '\n';
-}
-
-bool ReadMatrix(std::istream& in, Matrix* m) {
-  size_t rows = 0, cols = 0;
-  in >> rows >> cols;
-  if (!in || rows == 0 || cols == 0 || rows * cols > (1u << 28)) {
-    return false;
-  }
-  *m = Matrix(rows, cols);
-  for (size_t i = 0; i < m->size(); ++i) in >> m->data()[i];
-  return static_cast<bool>(in);
-}
-
-}  // namespace
-
-Status LstmLanguageModel::SaveToFile(const std::string& path) const {
-  SnapshotWriter writer("lstm", 1);
-  std::ostream& out = writer.payload();
-  out << vocab_size_ << ' ' << config_.hidden_size << ' '
-      << config_.num_layers << ' ' << config_.dropout << ' '
-      << config_.learning_rate << ' ' << config_.epochs << ' '
-      << config_.batch_size << ' ' << config_.grad_clip << ' '
-      << config_.patience << ' ' << config_.seed << '\n';
-  WriteMatrix(out, embedding_);
-  for (const LstmCell& cell : cells_) {
-    WriteMatrix(out, cell.params().wx);
-    WriteMatrix(out, cell.params().wh);
-    out << cell.params().bias.size() << '\n';
-    for (size_t i = 0; i < cell.params().bias.size(); ++i) {
-      if (i > 0) out << ' ';
-      out << cell.params().bias[i];
-    }
-    out << '\n';
-  }
-  WriteMatrix(out, w_out_);
-  out << b_out_.size() << '\n';
-  for (size_t i = 0; i < b_out_.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << b_out_[i];
-  }
-  out << '\n';
-  return writer.CommitToFile(path);
-}
-
-Result<std::unique_ptr<LstmLanguageModel>> LstmLanguageModel::LoadFromFile(
-    const std::string& path) {
-  HLM_ASSIGN_OR_RETURN(SnapshotReader reader,
-                       SnapshotReader::Open(path));
-  HLM_RETURN_IF_ERROR(reader.ExpectKind("lstm", 1));
-  std::istream& in = reader.payload();
-  int vocab = 0;
-  LstmConfig config;
-  in >> vocab >> config.hidden_size >> config.num_layers >>
-      config.dropout >> config.learning_rate >> config.epochs >>
-      config.batch_size >> config.grad_clip >> config.patience >>
-      config.seed;
-  if (!in || vocab <= 0) {
-    return Status::DataLoss("corrupt hlm-lstm header: " + path);
-  }
-  auto model = std::make_unique<LstmLanguageModel>(vocab, config);
-  if (!ReadMatrix(in, &model->embedding_)) {
-    return Status::DataLoss("truncated hlm-lstm file: " + path);
-  }
-  for (LstmCell& cell : model->cells_) {
-    size_t bias_size = 0;
-    if (!ReadMatrix(in, &cell.params().wx) ||
-        !ReadMatrix(in, &cell.params().wh)) {
-      return Status::DataLoss("truncated hlm-lstm file: " + path);
-    }
-    in >> bias_size;
-    if (!in || bias_size != cell.params().bias.size()) {
-      return Status::DataLoss("corrupt hlm-lstm bias block: " + path);
-    }
-    for (double& b : cell.params().bias) in >> b;
-  }
-  size_t out_bias = 0;
-  if (!ReadMatrix(in, &model->w_out_)) {
-    return Status::DataLoss("truncated hlm-lstm file: " + path);
-  }
-  in >> out_bias;
-  if (!in || out_bias != model->b_out_.size()) {
-    return Status::DataLoss("corrupt hlm-lstm output bias: " + path);
-  }
-  for (double& b : model->b_out_) in >> b;
-  if (!in) return Status::DataLoss("truncated hlm-lstm file: " + path);
-  HLM_RETURN_IF_ERROR(reader.Finish());
-  return model;
 }
 
 long long LstmLanguageModel::NumParameters() const {

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "models/lstm_cell.h"
@@ -73,15 +72,6 @@ class LstmLanguageModel final : public ConditionalScorer {
   /// Company embedding: top-layer hidden state after consuming the
   /// sequence (the RNN-based company representation of §4).
   std::vector<double> CompanyEmbedding(const TokenSequence& sequence) const;
-
-  /// Persists the model (config + every tensor) as a text file.
-  Status SaveToFile(const std::string& path) const;
-
-  /// Restores a model saved by SaveToFile (optimizer state is not
-  /// persisted; a loaded model scores and recommends but continues
-  /// training from a fresh optimizer).
-  static Result<std::unique_ptr<LstmLanguageModel>> LoadFromFile(
-      const std::string& path);
 
   /// Trainable parameter count (the paper's capacity argument in §5).
   long long NumParameters() const;

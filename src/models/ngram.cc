@@ -1,10 +1,8 @@
 #include "models/ngram.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
-#include "common/snapshot.h"
 #include "models/perplexity.h"
 
 namespace hlm::models {
@@ -119,81 +117,6 @@ long long NGramModel::NgramCount(const TokenSequence& ngram) const {
   if (it == context_counts_.end()) return 0;
   auto jt = it->second.token_counts.find(ngram.back());
   return jt == it->second.token_counts.end() ? 0 : jt->second;
-}
-
-Status NGramModel::SaveToFile(const std::string& path) const {
-  SnapshotWriter writer("ngram", 1);
-  std::ostream& out = writer.payload();
-  out << vocab_size_ << ' ' << config_.order << ' ' << config_.add_k << ' '
-      << config_.interpolation_weight << ' ' << total_tokens_ << '\n';
-  out << context_counts_.size() << '\n';
-  // Ascending key order keeps snapshots byte-stable across runs.
-  std::vector<uint64_t> keys;
-  keys.reserve(context_counts_.size());
-  // Order-insensitive collect; the sort below imposes the total order.
-  // hlm-lint: allow(unordered-iter)
-  for (const auto& [key, counts] : context_counts_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (uint64_t key : keys) {
-    const ContextCounts& counts = context_counts_.at(key);
-    std::vector<std::pair<Token, long long>> pairs;
-    pairs.reserve(counts.token_counts.size());
-    // hlm-lint: allow(unordered-iter)
-    for (const auto& [token, count] : counts.token_counts) {
-      pairs.emplace_back(token, count);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    out << key << ' ' << counts.total << ' ' << pairs.size() << '\n';
-    for (const auto& [token, count] : pairs) {
-      out << token << ' ' << count << '\n';
-    }
-  }
-  return writer.CommitToFile(path);
-}
-
-Result<NGramModel> NGramModel::LoadFromFile(const std::string& path) {
-  HLM_ASSIGN_OR_RETURN(SnapshotReader reader,
-                       SnapshotReader::Open(path));
-  HLM_RETURN_IF_ERROR(reader.ExpectKind("ngram", 1));
-  std::istream& in = reader.payload();
-  int vocab = 0;
-  NGramConfig config;
-  long long total_tokens = 0;
-  in >> vocab >> config.order >> config.add_k >>
-      config.interpolation_weight >> total_tokens;
-  if (!in || vocab <= 0 || vocab >= 253 || config.order < 1 ||
-      config.order > 7 || config.add_k <= 0.0) {
-    return Status::DataLoss("corrupt ngram snapshot header: " + path);
-  }
-  NGramModel model(vocab, config);
-  model.total_tokens_ = total_tokens;
-  size_t num_contexts = 0;
-  in >> num_contexts;
-  if (!in || num_contexts > (1u << 26)) {
-    return Status::DataLoss("corrupt ngram context table: " + path);
-  }
-  for (size_t c = 0; c < num_contexts; ++c) {
-    uint64_t key = 0;
-    long long total = 0;
-    size_t num_tokens = 0;
-    in >> key >> total >> num_tokens;
-    if (!in || num_tokens > static_cast<size_t>(vocab)) {
-      return Status::DataLoss("corrupt ngram context entry: " + path);
-    }
-    ContextCounts& counts = model.context_counts_[key];
-    counts.total = total;
-    for (size_t s = 0; s < num_tokens; ++s) {
-      Token token = 0;
-      long long count = 0;
-      in >> token >> count;
-      if (!in || token < 0 || token >= vocab) {
-        return Status::DataLoss("corrupt ngram token entry: " + path);
-      }
-      counts.token_counts[token] = count;
-    }
-  }
-  HLM_RETURN_IF_ERROR(reader.Finish());
-  return model;
 }
 
 }  // namespace hlm::models

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
 #include "models/model.h"
 
 namespace hlm::models {
@@ -52,11 +51,6 @@ class NGramModel final : public ConditionalScorer {
   /// Raw joint count of an n-gram (context + token), for the
   /// significance tests; order of `ngram` must be <= config.order.
   long long NgramCount(const TokenSequence& ngram) const;
-
-  /// Persists the full count state (all context orders) so a reloaded
-  /// model scores bit-identically and further Train calls keep adding.
-  Status SaveToFile(const std::string& path) const;
-  static Result<NGramModel> LoadFromFile(const std::string& path);
 
  private:
   static constexpr Token kBos = -1;

@@ -46,19 +46,6 @@ long long SpaceSavingSketch::EstimatedCount(Token item) const {
   return it == counts_.end() ? 0 : it->second.count;
 }
 
-SpaceSavingSketch SpaceSavingSketch::FromState(
-    size_t capacity, long long total, long long min_count,
-    const std::vector<Entry>& entries) {
-  SpaceSavingSketch sketch(capacity);
-  HLM_CHECK_LE(entries.size(), capacity);
-  sketch.total_ = total;
-  sketch.min_count_ = min_count;
-  for (const Entry& entry : entries) {
-    sketch.counts_[entry.item] = entry;
-  }
-  return sketch;
-}
-
 std::vector<SpaceSavingSketch::Entry> SpaceSavingSketch::HeavyHitters() const {
   std::vector<Entry> entries;
   entries.reserve(counts_.size());

@@ -36,13 +36,6 @@ class SpaceSavingSketch {
   /// Tracked items sorted by descending estimated count.
   std::vector<Entry> HeavyHitters() const;
 
-  /// Reconstructs a sketch from persisted state — the exact inverse of
-  /// (total_observed, MaxError, HeavyHitters). Entries beyond `capacity`
-  /// are rejected by check. Used by the ApproximateChh snapshot loader.
-  static SpaceSavingSketch FromState(size_t capacity, long long total,
-                                     long long min_count,
-                                     const std::vector<Entry>& entries);
-
   size_t size() const { return counts_.size(); }
   size_t capacity() const { return capacity_; }
 

@@ -87,9 +87,8 @@ Result<std::vector<std::vector<double>>> LoadRepresentation(
   std::istream& in = reader.payload();
   size_t rows = 0, cols = 0;
   in >> rows >> cols;
-  if (!in || rows * cols > (1u << 28)) {
-    return Status::DataLoss("corrupt representation shape: " + path);
-  }
+  if (!in) return Status::DataLoss("corrupt representation shape: " + path);
+  HLM_RETURN_IF_ERROR(reader.CheckShape(rows, cols));
   std::vector<std::vector<double>> matrix(rows, std::vector<double>(cols));
   for (std::vector<double>& row : matrix) {
     for (double& value : row) in >> value;

@@ -43,18 +43,6 @@ const char* ModelKindName(ModelKind kind) {
   switch (kind) {
     case ModelKind::kLda:
       return "lda";
-    case ModelKind::kLstm:
-      return "lstm";
-    case ModelKind::kGru:
-      return "gru";
-    case ModelKind::kBpmf:
-      return "bpmf";
-    case ModelKind::kChh:
-      return "chh";
-    case ModelKind::kChhApprox:
-      return "chh-approx";
-    case ModelKind::kNgram:
-      return "ngram";
     case ModelKind::kRepresentation:
       return "repr";
   }
@@ -62,10 +50,7 @@ const char* ModelKindName(ModelKind kind) {
 }
 
 Result<ModelKind> ParseModelKind(const std::string& name) {
-  for (ModelKind kind :
-       {ModelKind::kLda, ModelKind::kLstm, ModelKind::kGru, ModelKind::kBpmf,
-        ModelKind::kChh, ModelKind::kChhApprox, ModelKind::kNgram,
-        ModelKind::kRepresentation}) {
+  for (ModelKind kind : {ModelKind::kLda, ModelKind::kRepresentation}) {
     if (name == ModelKindName(kind)) return kind;
   }
   return obs::TrackError(
@@ -73,9 +58,7 @@ Result<ModelKind> ParseModelKind(const std::string& name) {
 }
 
 bool ModelRegistry::Entry::IsLoaded() const {
-  return lda != nullptr || lstm != nullptr || gru != nullptr ||
-         bpmf != nullptr || chh != nullptr || chh_approx != nullptr ||
-         ngram != nullptr || representation != nullptr;
+  return lda != nullptr || representation != nullptr;
 }
 
 Status ModelRegistry::Register(const std::string& name, ModelKind kind,
@@ -142,9 +125,15 @@ Result<ModelRegistry> ModelRegistry::FromManifest(
                            std::to_string(line_number) + " ('" + line +
                            "'): " + manifest_path));
     }
-    HLM_ASSIGN_OR_RETURN(ModelKind kind, ParseModelKind(kind_name));
+    Result<ModelKind> kind = ParseModelKind(kind_name);
+    if (!kind.ok()) {
+      // ParseModelKind has already counted the error; say where it is.
+      return Status::InvalidArgument(kind.status().message() + " at line " +
+                                     std::to_string(line_number) + ": " +
+                                     manifest_path);
+    }
     if (path[0] != '/') path = dir + path;
-    HLM_RETURN_IF_ERROR(registry.Register(name, kind, std::move(path)));
+    HLM_RETURN_IF_ERROR(registry.Register(name, *kind, std::move(path)));
   }
   if (in.bad()) {
     return obs::TrackError(
@@ -287,95 +276,6 @@ Result<const models::LdaModel*> ModelRegistry::Lda(const std::string& name) {
     }));
   }
   return static_cast<const models::LdaModel*>(entry->lda.get());
-}
-
-Result<const models::LstmLanguageModel*> ModelRegistry::Lstm(
-    const std::string& name) {
-  HLM_ASSIGN_OR_RETURN(Entry* entry, Resolve(name, ModelKind::kLstm));
-  if (entry->lstm == nullptr) {
-    HLM_RETURN_IF_ERROR(TimedLoad(name, entry->kind, [entry]() -> Status {
-      HLM_ASSIGN_OR_RETURN(
-          std::unique_ptr<models::LstmLanguageModel> model,
-          models::LstmLanguageModel::LoadFromFile(entry->path));
-      entry->lstm = std::move(model);
-      return Status::OK();
-    }));
-  }
-  return static_cast<const models::LstmLanguageModel*>(entry->lstm.get());
-}
-
-Result<const models::GruLanguageModel*> ModelRegistry::Gru(
-    const std::string& name) {
-  HLM_ASSIGN_OR_RETURN(Entry* entry, Resolve(name, ModelKind::kGru));
-  if (entry->gru == nullptr) {
-    HLM_RETURN_IF_ERROR(TimedLoad(name, entry->kind, [entry]() -> Status {
-      HLM_ASSIGN_OR_RETURN(
-          std::unique_ptr<models::GruLanguageModel> model,
-          models::GruLanguageModel::LoadFromFile(entry->path));
-      entry->gru = std::move(model);
-      return Status::OK();
-    }));
-  }
-  return static_cast<const models::GruLanguageModel*>(entry->gru.get());
-}
-
-Result<const models::BpmfModel*> ModelRegistry::Bpmf(const std::string& name) {
-  HLM_ASSIGN_OR_RETURN(Entry* entry, Resolve(name, ModelKind::kBpmf));
-  if (entry->bpmf == nullptr) {
-    HLM_RETURN_IF_ERROR(TimedLoad(name, entry->kind, [entry]() -> Status {
-      HLM_ASSIGN_OR_RETURN(models::BpmfModel model,
-                           models::BpmfModel::LoadFromFile(entry->path));
-      entry->bpmf = std::make_unique<models::BpmfModel>(std::move(model));
-      return Status::OK();
-    }));
-  }
-  return static_cast<const models::BpmfModel*>(entry->bpmf.get());
-}
-
-Result<const models::ConditionalHeavyHitters*> ModelRegistry::Chh(
-    const std::string& name) {
-  HLM_ASSIGN_OR_RETURN(Entry* entry, Resolve(name, ModelKind::kChh));
-  if (entry->chh == nullptr) {
-    HLM_RETURN_IF_ERROR(TimedLoad(name, entry->kind, [entry]() -> Status {
-      HLM_ASSIGN_OR_RETURN(
-          models::ConditionalHeavyHitters model,
-          models::ConditionalHeavyHitters::LoadFromFile(entry->path));
-      entry->chh = std::make_unique<models::ConditionalHeavyHitters>(
-          std::move(model));
-      return Status::OK();
-    }));
-  }
-  return static_cast<const models::ConditionalHeavyHitters*>(
-      entry->chh.get());
-}
-
-Result<const models::ApproximateChh*> ModelRegistry::ChhApprox(
-    const std::string& name) {
-  HLM_ASSIGN_OR_RETURN(Entry* entry, Resolve(name, ModelKind::kChhApprox));
-  if (entry->chh_approx == nullptr) {
-    HLM_RETURN_IF_ERROR(TimedLoad(name, entry->kind, [entry]() -> Status {
-      HLM_ASSIGN_OR_RETURN(models::ApproximateChh model,
-                           models::ApproximateChh::LoadFromFile(entry->path));
-      entry->chh_approx =
-          std::make_unique<models::ApproximateChh>(std::move(model));
-      return Status::OK();
-    }));
-  }
-  return static_cast<const models::ApproximateChh*>(entry->chh_approx.get());
-}
-
-Result<const models::NGramModel*> ModelRegistry::Ngram(
-    const std::string& name) {
-  HLM_ASSIGN_OR_RETURN(Entry* entry, Resolve(name, ModelKind::kNgram));
-  if (entry->ngram == nullptr) {
-    HLM_RETURN_IF_ERROR(TimedLoad(name, entry->kind, [entry]() -> Status {
-      HLM_ASSIGN_OR_RETURN(models::NGramModel model,
-                           models::NGramModel::LoadFromFile(entry->path));
-      entry->ngram = std::make_unique<models::NGramModel>(std::move(model));
-      return Status::OK();
-    }));
-  }
-  return static_cast<const models::NGramModel*>(entry->ngram.get());
 }
 
 Result<const std::vector<std::vector<double>>*> ModelRegistry::Representation(

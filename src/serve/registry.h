@@ -8,25 +8,16 @@
 #include <vector>
 
 #include "common/status.h"
-#include "models/bpmf.h"
-#include "models/chh.h"
-#include "models/gru_lm.h"
 #include "models/lda.h"
-#include "models/lstm_lm.h"
-#include "models/ngram.h"
 
 namespace hlm::serve {
 
-/// Snapshot kinds the registry can hold. String names are the on-disk
-/// manifest vocabulary and match each snapshot's `kind` header field.
+/// Snapshot kinds the registry can hold: the two a server loads. String
+/// names are the on-disk manifest vocabulary and match each snapshot's
+/// `kind` header field. A kind is added together with a consumer that
+/// loads it.
 enum class ModelKind {
   kLda,
-  kLstm,
-  kGru,
-  kBpmf,
-  kChh,
-  kChhApprox,
-  kNgram,
   kRepresentation,
 };
 
@@ -84,12 +75,6 @@ class ModelRegistry {
   /// Typed accessors: lazy load on first call, cached pointer after.
   /// Asking for a name under the wrong kind is an InvalidArgument.
   Result<const models::LdaModel*> Lda(const std::string& name);
-  Result<const models::LstmLanguageModel*> Lstm(const std::string& name);
-  Result<const models::GruLanguageModel*> Gru(const std::string& name);
-  Result<const models::BpmfModel*> Bpmf(const std::string& name);
-  Result<const models::ConditionalHeavyHitters*> Chh(const std::string& name);
-  Result<const models::ApproximateChh*> ChhApprox(const std::string& name);
-  Result<const models::NGramModel*> Ngram(const std::string& name);
   Result<const std::vector<std::vector<double>>*> Representation(
       const std::string& name);
 
@@ -113,12 +98,6 @@ class ModelRegistry {
     std::string path;
     // At most one engaged, matching `kind`, null until first access.
     std::unique_ptr<models::LdaModel> lda;
-    std::unique_ptr<models::LstmLanguageModel> lstm;
-    std::unique_ptr<models::GruLanguageModel> gru;
-    std::unique_ptr<models::BpmfModel> bpmf;
-    std::unique_ptr<models::ConditionalHeavyHitters> chh;
-    std::unique_ptr<models::ApproximateChh> chh_approx;
-    std::unique_ptr<models::NGramModel> ngram;
     std::unique_ptr<std::vector<std::vector<double>>> representation;
     bool IsLoaded() const;
   };

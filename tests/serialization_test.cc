@@ -8,12 +8,7 @@
 #include "common/snapshot.h"
 #include "corpus/generator.h"
 #include "math/rng.h"
-#include "models/bpmf.h"
-#include "models/chh.h"
-#include "models/gru_lm.h"
 #include "models/lda.h"
-#include "models/lstm_lm.h"
-#include "models/ngram.h"
 #include "repr/representation.h"
 
 namespace hlm::models {
@@ -56,42 +51,6 @@ TEST(LdaSerializationTest, RejectsUntrainedAndCorrupt) {
   fputs("hlm-lda 1\n38 3 0.1", f);  // truncated header
   fclose(f);
   EXPECT_FALSE(LdaModel::LoadFromFile(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(LstmSerializationTest, RoundTripPreservesPredictions) {
-  auto world = corpus::GenerateDefaultCorpus(120, 5);
-  LstmConfig config;
-  config.hidden_size = 12;
-  config.num_layers = 2;
-  config.epochs = 3;
-  LstmLanguageModel original(38, config);
-  original.Train(world.corpus.Sequences(), {});
-
-  std::string path = ::testing::TempDir() + "/lstm_roundtrip.hlm";
-  ASSERT_TRUE(original.SaveToFile(path).ok());
-  auto restored = LstmLanguageModel::LoadFromFile(path);
-  ASSERT_TRUE(restored.ok());
-
-  auto sequences = world.corpus.Sequences();
-  EXPECT_NEAR((*restored)->Perplexity(sequences),
-              original.Perplexity(sequences), 1e-9);
-  auto original_dist = original.NextProductDistribution({0, 5});
-  auto restored_dist = (*restored)->NextProductDistribution({0, 5});
-  for (size_t i = 0; i < original_dist.size(); ++i) {
-    EXPECT_NEAR(restored_dist[i], original_dist[i], 1e-12);
-  }
-  EXPECT_EQ((*restored)->NumParameters(), original.NumParameters());
-  std::remove(path.c_str());
-}
-
-TEST(LstmSerializationTest, RejectsCorruptFiles) {
-  EXPECT_FALSE(LstmLanguageModel::LoadFromFile("/nonexistent").ok());
-  std::string path = ::testing::TempDir() + "/lstm_corrupt.hlm";
-  FILE* f = fopen(path.c_str(), "w");
-  fputs("hlm-lstm 1\n38 12 2 0.25 0.003 3 64 5 0 99\n3 3\n1 2 3", f);
-  fclose(f);
-  EXPECT_FALSE(LstmLanguageModel::LoadFromFile(path).ok());
   std::remove(path.c_str());
 }
 
@@ -139,195 +98,52 @@ TEST(LdaSerializationTest, RejectsTrailingGarbageAfterPayload) {
   std::remove(path.c_str());
 }
 
-TEST(LstmSerializationTest, RejectsTrailingGarbageAfterPayload) {
-  auto world = corpus::GenerateDefaultCorpus(60, 5);
-  LstmConfig config;
-  config.hidden_size = 8;
-  config.epochs = 1;
-  LstmLanguageModel model(38, config);
-  model.Train(world.corpus.Sequences(), {});
-  std::string path = ::testing::TempDir() + "/lstm_trailing.hlm";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  ASSERT_TRUE(LstmLanguageModel::LoadFromFile(path).ok());
-
-  AppendPayloadGarbage(path, "\n0.5 0.5 0.5\n");
-  auto loaded = LstmLanguageModel::LoadFromFile(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("trailing garbage"),
-            std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(GruSerializationTest, RoundTripIsBitIdentical) {
-  auto world = corpus::GenerateDefaultCorpus(120, 5);
-  GruConfig config;
-  config.hidden_size = 12;
-  config.epochs = 2;
-  GruLanguageModel original(38, config);
-  original.Train(world.corpus.Sequences());
-
-  std::string path = ::testing::TempDir() + "/gru_roundtrip.hlm";
-  ASSERT_TRUE(original.SaveToFile(path).ok());
-  auto restored = GruLanguageModel::LoadFromFile(path);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-
-  // Doubles persist at precision 17, so the loaded model scores
-  // bit-identically, not just approximately.
-  auto sequences = world.corpus.Sequences();
-  EXPECT_EQ((*restored)->Perplexity(sequences),
-            original.Perplexity(sequences));
-  EXPECT_EQ((*restored)->NextProductDistribution({0, 5}),
-            original.NextProductDistribution({0, 5}));
-  EXPECT_EQ((*restored)->NumParameters(), original.NumParameters());
-  std::remove(path.c_str());
-}
-
-TEST(GruSerializationTest, RejectsCorruptAndWrongKind) {
-  EXPECT_FALSE(GruLanguageModel::LoadFromFile("/nonexistent").ok());
-
-  // Truncated payload inside a valid container.
-  SnapshotWriter truncated("gru", 1);
-  truncated.payload() << "38 12 0.001 2 5 77\n3 3\n1 2 3";
-  std::string path = ::testing::TempDir() + "/gru_corrupt.hlm";
-  ASSERT_TRUE(truncated.CommitToFile(path).ok());
-  auto loaded = GruLanguageModel::LoadFromFile(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("truncated hlm-gru"),
-            std::string::npos);
-
-  // An LSTM snapshot must be rejected by kind, not half-parsed.
-  SnapshotWriter wrong_kind("lstm", 1);
-  wrong_kind.payload() << "38 12 2 0.25 0.003 3 64 5 0 99\n";
-  ASSERT_TRUE(wrong_kind.CommitToFile(path).ok());
-  EXPECT_FALSE(GruLanguageModel::LoadFromFile(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(GruSerializationTest, RejectsTrailingGarbageAfterPayload) {
-  auto world = corpus::GenerateDefaultCorpus(60, 5);
-  GruConfig config;
-  config.hidden_size = 8;
-  config.epochs = 1;
-  GruLanguageModel model(38, config);
-  model.Train(world.corpus.Sequences());
-  std::string path = ::testing::TempDir() + "/gru_trailing.hlm";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  ASSERT_TRUE(GruLanguageModel::LoadFromFile(path).ok());
-
-  AppendPayloadGarbage(path, "\n0.5 0.5 0.5\n");
-  auto loaded = GruLanguageModel::LoadFromFile(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("trailing garbage"),
-            std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(BpmfSerializationTest, RoundTripIsBitIdentical) {
-  BpmfConfig config;
-  config.burn_in = 3;
-  config.samples = 5;
-  BpmfModel original(config);
-  std::vector<std::vector<double>> ratings = {
-      {1.0, 0.0, 1.0}, {0.0, 1.0, 0.0}, {1.0, 1.0, 0.0}, {0.0, 0.0, 1.0}};
-  ASSERT_TRUE(original.Train(ratings).ok());
-
-  std::string path = ::testing::TempDir() + "/bpmf_roundtrip.hlm";
-  ASSERT_TRUE(original.SaveToFile(path).ok());
-  auto restored = BpmfModel::LoadFromFile(path);
-  ASSERT_TRUE(restored.ok());
-
-  EXPECT_EQ(restored->num_rows(), original.num_rows());
-  EXPECT_EQ(restored->num_cols(), original.num_cols());
-  // Bit-identical inference: doubles are persisted at precision 17.
-  EXPECT_EQ(restored->AllScores(), original.AllScores());
-  for (int r = 0; r < original.num_rows(); ++r) {
-    for (int c = 0; c < original.num_cols(); ++c) {
-      EXPECT_EQ(restored->PredictScore(r, c), original.PredictScore(r, c));
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(BpmfSerializationTest, RejectsUntrainedAndCorrupt) {
-  BpmfModel untrained(BpmfConfig{});
-  EXPECT_FALSE(untrained.SaveToFile("/tmp/never").ok());
-  EXPECT_FALSE(BpmfModel::LoadFromFile("/nonexistent").ok());
-}
-
-TEST(ChhSerializationTest, ExactRoundTripIsBitIdentical) {
-  auto world = corpus::GenerateDefaultCorpus(150, 9);
-  ConditionalHeavyHitters original(world.corpus.num_categories(),
-                                   ChhConfig{});
-  original.Train(world.corpus.Sequences());
-
-  std::string path = ::testing::TempDir() + "/chh_roundtrip.hlm";
-  ASSERT_TRUE(original.SaveToFile(path).ok());
-  auto restored = ConditionalHeavyHitters::LoadFromFile(path);
-  ASSERT_TRUE(restored.ok());
-
-  for (const TokenSequence& history :
-       std::vector<TokenSequence>{{}, {0}, {3, 7}, {1, 2, 3}}) {
-    EXPECT_EQ(restored->NextProductDistribution(history),
-              original.NextProductDistribution(history));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ChhSerializationTest, ApproximateRoundTripContinuesStreaming) {
-  auto world = corpus::GenerateDefaultCorpus(150, 9);
-  auto sequences = world.corpus.Sequences();
-  ApproximateChh original(world.corpus.num_categories(), ChhConfig{},
-                          /*max_contexts=*/256, /*sketch_capacity=*/8);
-  original.Train(sequences);
-
-  std::string path = ::testing::TempDir() + "/chh_approx_roundtrip.hlm";
-  ASSERT_TRUE(original.SaveToFile(path).ok());
-  auto restored = ApproximateChh::LoadFromFile(path);
-  ASSERT_TRUE(restored.ok());
-
-  for (const TokenSequence& history :
-       std::vector<TokenSequence>{{}, {0}, {3, 7}, {1, 2, 3}}) {
-    EXPECT_EQ(restored->NextProductDistribution(history),
-              original.NextProductDistribution(history));
-  }
-  // Exact state restore: continued streaming matches a never-saved twin.
-  original.ObserveSequence(sequences[0]);
-  restored->ObserveSequence(sequences[0]);
-  EXPECT_EQ(restored->NextProductDistribution({sequences[0][0]}),
-            original.NextProductDistribution({sequences[0][0]}));
-  std::remove(path.c_str());
-}
-
-TEST(NgramSerializationTest, RoundTripIsBitIdentical) {
-  auto world = corpus::GenerateDefaultCorpus(150, 13);
-  NGramConfig config;
-  config.order = 3;
-  NGramModel original(world.corpus.num_categories(), config);
-  original.Train(world.corpus.Sequences());
-
-  std::string path = ::testing::TempDir() + "/ngram_roundtrip.hlm";
-  ASSERT_TRUE(original.SaveToFile(path).ok());
-  auto restored = NGramModel::LoadFromFile(path);
-  ASSERT_TRUE(restored.ok());
-
-  for (const TokenSequence& history :
-       std::vector<TokenSequence>{{}, {0}, {3, 7}, {1, 2, 3}}) {
-    EXPECT_EQ(restored->NextProductDistribution(history),
-              original.NextProductDistribution(history));
-  }
-  EXPECT_EQ(restored->NgramCount({0, 1}), original.NgramCount({0, 1}));
-  std::remove(path.c_str());
-}
-
-TEST(NgramSerializationTest, RejectsWrongKindSnapshot) {
-  // A valid container of the wrong kind must fail in ExpectKind.
-  std::string path = ::testing::TempDir() + "/ngram_wrong_kind.hlm";
-  SnapshotWriter writer("lda", 1);
-  writer.payload() << "38 3\n";
+/// Commits `payload` as a checksum-valid snapshot of `kind` at `path`:
+/// the container accepts it, so only the model parser can reject it.
+void WriteSnapshot(const std::string& path, const std::string& kind,
+                   const std::string& payload) {
+  SnapshotWriter writer(kind, 1);
+  writer.payload() << payload;
   ASSERT_TRUE(writer.CommitToFile(path).ok());
-  auto loaded = NGramModel::LoadFromFile(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("kind"), std::string::npos);
+}
+
+TEST(LdaSerializationTest, RejectsWrongKindAndTruncatedPayload) {
+  std::string path = ::testing::TempDir() + "/lda_wrong_kind.hlm";
+  // A valid container of the wrong kind must fail in ExpectKind.
+  WriteSnapshot(path, "repr", "1 3\n0.25 0.25 0.5\n");
+  auto wrong_kind = LdaModel::LoadFromFile(path);
+  ASSERT_FALSE(wrong_kind.ok());
+  EXPECT_EQ(wrong_kind.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wrong_kind.status().message().find("kind"), std::string::npos);
+
+  // Header promises 2 topics x 3 words; the payload stops after 4 values.
+  WriteSnapshot(path, "lda", "3 2 0.1 0.01 20 30 7\n0.25 0.25 0.5\n1 0");
+  auto truncated = LdaModel::LoadFromFile(path);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+TEST(LdaSerializationTest, HostileHeadersAreDataLoss) {
+  std::string path = ::testing::TempDir() + "/lda_hostile.hlm";
+  for (const char* payload : {
+           // 2e9 x 2e9 topic-word matrix in a 40-byte payload.
+           "2000000000 2000000000 0.1 0.01 10 10 7\n",
+           // The constructor checks alpha, beta > 0; the loader must
+           // refuse first.
+           "1 1 0 0.01 20 30 7\n1\n",
+           "1 1 0.1 -1 20 30 7\n1\n",
+           // Fold-in averages over 0 samples: a NaN topic mixture.
+           "1 1 0.1 0.01 20 0 7\n1\n",
+           // burn_in + samples overflows int.
+           "1 1 0.1 0.01 2147483647 1 7\n1\n",
+       }) {
+    WriteSnapshot(path, "lda", payload);
+    auto loaded = LdaModel::LoadFromFile(path);
+    ASSERT_FALSE(loaded.ok()) << payload;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 
@@ -343,6 +159,40 @@ TEST(ReprSerializationTest, RoundTripIsBitIdenticalAndRejectsRagged) {
 
   std::vector<std::vector<double>> ragged = {{1.0, 2.0}, {3.0}};
   EXPECT_FALSE(repr::SaveRepresentation(ragged, path).ok());
+}
+
+TEST(ReprSerializationTest, RejectsWrongKindAndTruncatedPayload) {
+  std::string path = ::testing::TempDir() + "/repr_wrong_kind.hlm";
+  WriteSnapshot(path, "lda", "1 1 0.1 0.01 20 30 7\n1\n");
+  auto wrong_kind = repr::LoadRepresentation(path);
+  ASSERT_FALSE(wrong_kind.ok());
+  EXPECT_EQ(wrong_kind.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wrong_kind.status().message().find("kind"), std::string::npos);
+
+  // Shape 2 x 2; the payload stops after 3 values.
+  WriteSnapshot(path, "repr", "2 2\n1 2\n3");
+  auto truncated = repr::LoadRepresentation(path);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+TEST(ReprSerializationTest, HostileShapesAreDataLoss) {
+  std::string path = ::testing::TempDir() + "/repr_hostile.hlm";
+  for (const char* payload : {
+           // rows * cols is 0, so a product-only bound would allocate
+           // 2^40 empty rows.
+           "1099511627776 0\n",
+           // 2^63 * 2 wraps to 0 in size_t.
+           "9223372036854775808 2\n",
+       }) {
+    WriteSnapshot(path, "repr", payload);
+    auto loaded = repr::LoadRepresentation(path);
+    ASSERT_FALSE(loaded.ok()) << payload;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

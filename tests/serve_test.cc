@@ -9,9 +9,7 @@
 #include "common/atomic_file.h"
 #include "common/snapshot.h"
 #include "corpus/generator.h"
-#include "models/gru_lm.h"
 #include "models/lda.h"
-#include "models/ngram.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "repr/representation.h"
@@ -182,7 +180,7 @@ TEST(ModelRegistryTest, RegisterValidatesNamesAndRejectsDuplicates) {
 TEST(ModelRegistryTest, ManifestRoundTripResolvesRelativePaths) {
   std::string manifest = TempPath("registry_manifest.txt");
   ModelRegistry registry;
-  ASSERT_TRUE(registry.Register("a", ModelKind::kNgram, "a.snap").ok());
+  ASSERT_TRUE(registry.Register("a", ModelKind::kLda, "a.snap").ok());
   ASSERT_TRUE(
       registry.Register("b", ModelKind::kRepresentation, "/abs/b.snap").ok());
   ASSERT_TRUE(registry.SaveManifest(manifest).ok());
@@ -209,42 +207,51 @@ TEST(ModelRegistryTest, FromManifestRejectsCorruptManifests) {
   std::remove(manifest.c_str());
 }
 
+/// Trains a small LDA model on a generated corpus.
+models::LdaModel TrainSmallLda(int companies, uint64_t seed) {
+  auto world = corpus::GenerateDefaultCorpus(companies, seed);
+  models::LdaConfig config;
+  config.num_topics = 3;
+  config.burn_in_iterations = 20;
+  config.post_burn_in_samples = 4;
+  models::LdaModel lda(world.corpus.num_categories(), config);
+  EXPECT_TRUE(lda.Train(world.corpus.Sequences()).ok());
+  return lda;
+}
+
 TEST(ModelRegistryTest, LazyLoadVerifyAndKindMismatch) {
   obs::MetricsRegistry::Global().Reset();
-  // Real snapshots: a trained n-gram and a representation matrix.
-  auto world = corpus::GenerateDefaultCorpus(80, 11);
-  std::string ngram_path = TempPath("registry_ngram.snap");
-  models::NGramModel ngram(world.corpus.num_categories(),
-                           models::NGramConfig{});
-  ngram.Train(world.corpus.Sequences());
-  ASSERT_TRUE(ngram.SaveToFile(ngram_path).ok());
+  // Real snapshots: a trained LDA model and a representation matrix.
+  models::LdaModel lda = TrainSmallLda(80, 11);
+  std::string lda_path = TempPath("registry_lda.snap");
+  ASSERT_TRUE(lda.SaveToFile(lda_path).ok());
 
   std::string repr_path = TempPath("registry_repr.snap");
   std::vector<std::vector<double>> rows = {{1.0, 2.0}, {3.0, 4.0}};
   ASSERT_TRUE(repr::SaveRepresentation(rows, repr_path).ok());
 
   ModelRegistry registry;
-  ASSERT_TRUE(registry.Register("ngram", ModelKind::kNgram, ngram_path).ok());
+  ASSERT_TRUE(registry.Register("lda", ModelKind::kLda, lda_path).ok());
   ASSERT_TRUE(
       registry.Register("repr", ModelKind::kRepresentation, repr_path).ok());
 
   // Verify is container-level and does not load.
-  EXPECT_TRUE(registry.Verify("ngram").ok());
+  EXPECT_TRUE(registry.Verify("lda").ok());
   EXPECT_FALSE(registry.Verify("missing").ok());
   EXPECT_FALSE(registry.List()[0].loaded);
 
   // Wrong-kind access fails without touching the file.
-  EXPECT_FALSE(registry.Lda("ngram").ok());
-  EXPECT_FALSE(registry.Ngram("missing").ok());
+  EXPECT_FALSE(registry.Representation("lda").ok());
+  EXPECT_FALSE(registry.Lda("missing").ok());
 
   // Lazy load: first access parses, second returns the same pointer.
-  auto first = registry.Ngram("ngram");
+  auto first = registry.Lda("lda");
   ASSERT_TRUE(first.ok());
-  auto second = registry.Ngram("ngram");
+  auto second = registry.Lda("lda");
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*first, *second);
   EXPECT_EQ((*first)->NextProductDistribution({0}),
-            ngram.NextProductDistribution({0}));
+            lda.NextProductDistribution({0}));
 
   auto loaded_rows = registry.Representation("repr");
   ASSERT_TRUE(loaded_rows.ok());
@@ -257,12 +264,13 @@ TEST(ModelRegistryTest, LazyLoadVerifyAndKindMismatch) {
 
   // A registered-as-wrong-kind snapshot fails Verify with a kind error.
   ModelRegistry mislabeled;
-  ASSERT_TRUE(mislabeled.Register("x", ModelKind::kLda, ngram_path).ok());
+  ASSERT_TRUE(
+      mislabeled.Register("x", ModelKind::kRepresentation, lda_path).ok());
   Status verify = mislabeled.Verify("x");
   ASSERT_FALSE(verify.ok());
   EXPECT_NE(verify.message().find("kind"), std::string::npos);
 
-  std::remove(ngram_path.c_str());
+  std::remove(lda_path.c_str());
   std::remove(repr_path.c_str());
 }
 
@@ -271,60 +279,21 @@ TEST(ModelRegistryTest, LoadErrorsAreCountedAndReported) {
   std::string path = TempPath("registry_broken.snap");
   WriteAll(path, "broken");
   ModelRegistry registry;
-  ASSERT_TRUE(registry.Register("bad", ModelKind::kNgram, path).ok());
+  ASSERT_TRUE(registry.Register("bad", ModelKind::kLda, path).ok());
   EXPECT_FALSE(registry.Verify("bad").ok());
-  EXPECT_FALSE(registry.Ngram("bad").ok());
+  EXPECT_FALSE(registry.Lda("bad").ok());
   obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(snapshot.counters.at("hlm.serve.load_errors_total"), 1);
   std::remove(path.c_str());
 }
 
-TEST(ModelRegistryTest, GruRoundTripsThroughRegistry) {
-  obs::MetricsRegistry::Global().Reset();
-  auto world = corpus::GenerateDefaultCorpus(60, 13);
-  models::GruConfig config;
-  config.hidden_size = 8;
-  config.epochs = 1;
-  models::GruLanguageModel gru(world.corpus.num_categories(), config);
-  gru.Train(world.corpus.Sequences());
-  std::string path = TempPath("registry_gru.snap");
-  ASSERT_TRUE(gru.SaveToFile(path).ok());
-
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Register("gru", ModelKind::kGru, path).ok());
-  EXPECT_TRUE(registry.Verify("gru").ok());
-
-  auto loaded = registry.Gru("gru");
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ((*loaded)->NextProductDistribution({0}),
-            gru.NextProductDistribution({0}));
-  EXPECT_EQ((*loaded)->NumParameters(), gru.NumParameters());
-
-  // Wrong-kind access fails, and the manifest round-trips "gru".
-  EXPECT_FALSE(registry.Lstm("gru").ok());
-  std::string manifest = TempPath("gru_manifest.txt");
-  ASSERT_TRUE(registry.SaveManifest(manifest).ok());
-  auto restored = ModelRegistry::FromManifest(manifest);
-  ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored->List().size(), 1u);
-  EXPECT_EQ(restored->List()[0].kind, ModelKind::kGru);
-  EXPECT_TRUE(restored->Gru("gru").ok());
-
-  std::remove(path.c_str());
-  std::remove(manifest.c_str());
-}
-
 TEST(ModelRegistryTest, FromManifestStampsGenerationAndMeta) {
   obs::MetricsRegistry::Global().Reset();
-  std::string path = TempPath("gen_ngram.snap");
-  auto world = corpus::GenerateDefaultCorpus(60, 17);
-  models::NGramModel ngram(world.corpus.num_categories(),
-                           models::NGramConfig{});
-  ngram.Train(world.corpus.Sequences());
-  ASSERT_TRUE(ngram.SaveToFile(path).ok());
+  std::string path = TempPath("gen_lda.snap");
+  ASSERT_TRUE(TrainSmallLda(60, 17).SaveToFile(path).ok());
 
   ModelRegistry ad_hoc;
-  ASSERT_TRUE(ad_hoc.Register("ngram", ModelKind::kNgram, path).ok());
+  ASSERT_TRUE(ad_hoc.Register("lda", ModelKind::kLda, path).ok());
   EXPECT_EQ(ad_hoc.generation(), 0) << "ad-hoc registries carry no gen";
   std::string manifest = TempPath("gen_manifest.txt");
   ASSERT_TRUE(ad_hoc.SaveManifest(manifest).ok());
@@ -342,7 +311,7 @@ TEST(ModelRegistryTest, FromManifestStampsGenerationAndMeta) {
             static_cast<double>(second->generation()));
   EXPECT_EQ(snapshot.meta.at("serve.registry.generation"),
             std::to_string(second->generation()));
-  EXPECT_EQ(snapshot.meta.at("serve.registry.models"), "ngram:ngram");
+  EXPECT_EQ(snapshot.meta.at("serve.registry.models"), "lda:lda");
 
   std::remove(path.c_str());
   std::remove(manifest.c_str());
@@ -353,9 +322,9 @@ TEST(ModelRegistryTest, ErrorsIncrementPerCodeCountersAndEmitEvents) {
   obs::EventLog::Global().Clear();
   ModelRegistry registry;
   // Duplicate registration -> already_exists; missing name -> not_found.
-  ASSERT_TRUE(registry.Register("m", ModelKind::kNgram, "/tmp/x.snap").ok());
-  EXPECT_FALSE(registry.Register("m", ModelKind::kNgram, "/tmp/y.snap").ok());
-  EXPECT_FALSE(registry.Ngram("missing").ok());
+  ASSERT_TRUE(registry.Register("m", ModelKind::kLda, "/tmp/x.snap").ok());
+  EXPECT_FALSE(registry.Register("m", ModelKind::kLda, "/tmp/y.snap").ok());
+  EXPECT_FALSE(registry.Lda("missing").ok());
 
   obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
   EXPECT_GE(snapshot.counters.at("hlm.serve.errors_total"), 2);
@@ -411,18 +380,32 @@ TEST(ModelRegistryTest, FromManifestRejectsPartialTrailingRecord) {
   // writer) leaves a name+kind row with no path. The old `>>`-loop
   // silently dropped it; now it is a DataLoss error naming the line.
   WriteAll(manifest,
-           "hlm-registry 1\nfull ngram full.snap\ntruncated ngram\n");
+           "hlm-registry 1\nfull lda full.snap\ntruncated lda\n");
   auto truncated = ModelRegistry::FromManifest(manifest);
   ASSERT_FALSE(truncated.ok());
   EXPECT_NE(truncated.status().message().find("line 3"), std::string::npos);
 
   // A record with trailing junk is rejected too, not silently merged.
-  WriteAll(manifest, "hlm-registry 1\nfull ngram full.snap extra-token\n");
+  WriteAll(manifest, "hlm-registry 1\nfull lda full.snap extra-token\n");
   EXPECT_FALSE(ModelRegistry::FromManifest(manifest).ok());
 
   // A single trailing newline after the last record stays legal.
-  WriteAll(manifest, "hlm-registry 1\nfull ngram full.snap\n");
+  WriteAll(manifest, "hlm-registry 1\nfull lda full.snap\n");
   EXPECT_TRUE(ModelRegistry::FromManifest(manifest).ok());
+  std::remove(manifest.c_str());
+}
+
+// Manifests name only the kinds a server loads. A row naming a kind the
+// registry no longer knows fails the whole manifest, naming kind and line.
+TEST(ModelRegistryTest, FromManifestRejectsRetiredKind) {
+  std::string manifest = TempPath("retired_kind_manifest.txt");
+  WriteAll(manifest,
+           "hlm-registry 1\nlda lda lda.snap\nold ngram ngram.snap\n");
+  auto loaded = ModelRegistry::FromManifest(manifest);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("ngram"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("line 3"), std::string::npos);
   std::remove(manifest.c_str());
 }
 

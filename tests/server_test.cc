@@ -23,6 +23,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "common/snapshot.h"
 #include "common/string_util.h"
 #include "corpus/generator.h"
 #include "math/rng.h"
@@ -319,6 +320,40 @@ TEST(ServerTest, ManualReloadSwapsGenerationExactlyWhenChanged) {
   auto health = Get(server.value()->port(), "/healthz");
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(health.value().status_code, 200);
+  server.value()->Stop();
+}
+
+// A snapshot that passes its checksum can still carry a hostile shape
+// (here 2^40 rows of width 0). Republishing one must fail the reload
+// with a Status and keep the old generation answering, not abort.
+TEST(ServerTest, HostileRepublishedSnapshotKeepsOldGenerationServing) {
+  const std::string dir = TempDirFor("server_hostile_reload");
+  const std::string manifest = BuildSnapshotDir(dir);
+  ServerConfig config;
+  config.manifest_path = manifest;
+  auto server = Server::Start(config);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server.value()->port();
+  const int good_generation = server.value()->generation();
+
+  SnapshotWriter hostile("repr", 1);
+  hostile.payload() << "1099511627776 0\n";
+  ASSERT_TRUE(hostile.CommitToFile(dir + "/lda_repr.snap").ok());
+  RepublishManifest(manifest);
+  auto reloaded = server.value()->ReloadIfChanged();
+  ASSERT_FALSE(reloaded.ok());
+  EXPECT_EQ(reloaded.status().code(), StatusCode::kDataLoss)
+      << reloaded.status().ToString();
+  EXPECT_EQ(server.value()->generation(), good_generation);
+
+  auto client = HttpClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok());
+  for (int company = 0; company < 10; ++company) {
+    auto similar = client.value().Get("/v1/similar?company=" +
+                                      std::to_string(company) + "&k=3");
+    ASSERT_TRUE(similar.ok()) << similar.status().ToString();
+    EXPECT_EQ(similar.value().status_code, 200);
+  }
   server.value()->Stop();
 }
 

@@ -2,10 +2,10 @@
 // snapshot directory described by a registry manifest.
 //
 //   hlm_snapshot save   --dir DIR [--companies N] [--seed S]
-//                       [--lstm] [--gru]
-//       Trains the demo model suite on a generated corpus and writes one
-//       snapshot per model plus DIR/manifest.txt (paths stored relative,
-//       so the directory can be moved wholesale).
+//       Trains LDA on a generated corpus and writes the snapshot set
+//       hlm_serve reads: the LDA model ("lda"), its company topic
+//       mixtures ("lda-repr"), and DIR/manifest.txt (paths stored
+//       relative, so the directory can be moved wholesale).
 //   hlm_snapshot verify --manifest PATH [--name NAME]
 //       Container-level check of every (or one named) snapshot: header,
 //       payload byte count, checksum, registered kind. No model parse.
@@ -26,12 +26,7 @@
 #include "common/flags.h"
 #include "common/status.h"
 #include "corpus/generator.h"
-#include "models/bpmf.h"
-#include "models/chh.h"
-#include "models/gru_lm.h"
 #include "models/lda.h"
-#include "models/lstm_lm.h"
-#include "models/ngram.h"
 #include "repr/representation.h"
 #include "serve/registry.h"
 
@@ -44,8 +39,6 @@ struct SaveOptions {
   std::string dir;
   long long companies = 300;
   long long seed = 7;
-  bool lstm = false;  // LSTM training dominates runtime; opt in.
-  bool gru = false;   // ditto for the GRU sibling
 };
 
 Status RunSave(const SaveOptions& options) {
@@ -68,14 +61,9 @@ Status RunSave(const SaveOptions& options) {
       corpus.Sequences();
   const int vocab = corpus.num_categories();
 
+  // Register bare file names; FromManifest re-anchors them to the
+  // manifest's directory at load time.
   hlm::serve::ModelRegistry registry;
-  auto add = [&registry](const std::string& name,
-                         hlm::serve::ModelKind kind,
-                         const std::string& file) {
-    // Register the bare file name; FromManifest re-anchors it to the
-    // manifest's directory at load time.
-    return registry.Register(name, kind, file);
-  };
 
   std::printf("training lda...\n");
   hlm::models::LdaConfig lda_config;
@@ -83,67 +71,14 @@ Status RunSave(const SaveOptions& options) {
   hlm::models::LdaModel lda(vocab, lda_config);
   HLM_RETURN_IF_ERROR(lda.Train(sequences));
   HLM_RETURN_IF_ERROR(lda.SaveToFile(dir + "lda.snap"));
-  HLM_RETURN_IF_ERROR(add("lda", hlm::serve::ModelKind::kLda, "lda.snap"));
+  HLM_RETURN_IF_ERROR(
+      registry.Register("lda", hlm::serve::ModelKind::kLda, "lda.snap"));
 
   std::printf("building lda representation...\n");
   HLM_RETURN_IF_ERROR(hlm::repr::SaveRepresentation(
       hlm::repr::LdaRepresentation(lda, corpus), dir + "lda_repr.snap"));
-  HLM_RETURN_IF_ERROR(add("lda-repr", hlm::serve::ModelKind::kRepresentation,
-                          "lda_repr.snap"));
-
-  std::printf("training ngram...\n");
-  hlm::models::NGramModel ngram(vocab, hlm::models::NGramConfig{});
-  ngram.Train(sequences);
-  HLM_RETURN_IF_ERROR(ngram.SaveToFile(dir + "ngram.snap"));
-  HLM_RETURN_IF_ERROR(
-      add("ngram", hlm::serve::ModelKind::kNgram, "ngram.snap"));
-
-  std::printf("training chh (exact + approximate)...\n");
-  hlm::models::ChhConfig chh_config;
-  hlm::models::ConditionalHeavyHitters chh(vocab, chh_config);
-  chh.Train(sequences);
-  HLM_RETURN_IF_ERROR(chh.SaveToFile(dir + "chh.snap"));
-  HLM_RETURN_IF_ERROR(add("chh", hlm::serve::ModelKind::kChh, "chh.snap"));
-
-  hlm::models::ApproximateChh chh_approx(vocab, chh_config,
-                                         /*max_contexts=*/4096,
-                                         /*sketch_capacity=*/16);
-  chh_approx.Train(sequences);
-  HLM_RETURN_IF_ERROR(chh_approx.SaveToFile(dir + "chh_approx.snap"));
-  HLM_RETURN_IF_ERROR(add("chh-approx", hlm::serve::ModelKind::kChhApprox,
-                          "chh_approx.snap"));
-
-  std::printf("training bpmf...\n");
-  hlm::models::BpmfConfig bpmf_config;
-  bpmf_config.burn_in = 5;
-  bpmf_config.samples = 10;
-  hlm::models::BpmfModel bpmf(bpmf_config);
-  HLM_RETURN_IF_ERROR(bpmf.Train(corpus.BinaryMatrix()));
-  HLM_RETURN_IF_ERROR(bpmf.SaveToFile(dir + "bpmf.snap"));
-  HLM_RETURN_IF_ERROR(add("bpmf", hlm::serve::ModelKind::kBpmf, "bpmf.snap"));
-
-  if (options.lstm) {
-    std::printf("training lstm (small config)...\n");
-    hlm::models::LstmConfig lstm_config;
-    lstm_config.hidden_size = 16;
-    lstm_config.epochs = 2;
-    hlm::models::LstmLanguageModel lstm(vocab, lstm_config);
-    lstm.Train(sequences, {});
-    HLM_RETURN_IF_ERROR(lstm.SaveToFile(dir + "lstm.snap"));
-    HLM_RETURN_IF_ERROR(
-        add("lstm", hlm::serve::ModelKind::kLstm, "lstm.snap"));
-  }
-
-  if (options.gru) {
-    std::printf("training gru (small config)...\n");
-    hlm::models::GruConfig gru_config;
-    gru_config.hidden_size = 16;
-    gru_config.epochs = 2;
-    hlm::models::GruLanguageModel gru(vocab, gru_config);
-    gru.Train(sequences);
-    HLM_RETURN_IF_ERROR(gru.SaveToFile(dir + "gru.snap"));
-    HLM_RETURN_IF_ERROR(add("gru", hlm::serve::ModelKind::kGru, "gru.snap"));
-  }
+  HLM_RETURN_IF_ERROR(registry.Register(
+      "lda-repr", hlm::serve::ModelKind::kRepresentation, "lda_repr.snap"));
 
   const std::string manifest = dir + "manifest.txt";
   HLM_RETURN_IF_ERROR(registry.SaveManifest(manifest));
@@ -199,18 +134,6 @@ Status LoadEntry(hlm::serve::ModelRegistry& registry,
   switch (entry.kind) {
     case hlm::serve::ModelKind::kLda:
       return registry.Lda(entry.name).status();
-    case hlm::serve::ModelKind::kLstm:
-      return registry.Lstm(entry.name).status();
-    case hlm::serve::ModelKind::kGru:
-      return registry.Gru(entry.name).status();
-    case hlm::serve::ModelKind::kBpmf:
-      return registry.Bpmf(entry.name).status();
-    case hlm::serve::ModelKind::kChh:
-      return registry.Chh(entry.name).status();
-    case hlm::serve::ModelKind::kChhApprox:
-      return registry.ChhApprox(entry.name).status();
-    case hlm::serve::ModelKind::kNgram:
-      return registry.Ngram(entry.name).status();
     case hlm::serve::ModelKind::kRepresentation:
       return registry.Representation(entry.name).status();
   }
@@ -235,7 +158,7 @@ Status RunLoad(const std::string& manifest, const std::string& name) {
 int Usage() {
   std::fprintf(stderr,
                "usage: hlm_snapshot save   --dir DIR [--companies N] "
-               "[--seed S] [--lstm] [--gru]\n"
+               "[--seed S]\n"
                "       hlm_snapshot verify --manifest PATH [--name NAME]\n"
                "       hlm_snapshot ls     --manifest PATH\n"
                "       hlm_snapshot load   --manifest PATH [--name NAME]\n");
@@ -257,10 +180,6 @@ int main(int argc, char** argv) {
   flags.AddInt64("companies", &save_options.companies,
                  "corpus size for save");
   flags.AddInt64("seed", &save_options.seed, "corpus seed for save");
-  flags.AddBool("lstm", &save_options.lstm,
-                "also train + snapshot the (slow) LSTM during save");
-  flags.AddBool("gru", &save_options.gru,
-                "also train + snapshot the (slow) GRU during save");
   flags.AddString("manifest", &manifest, "registry manifest path");
   flags.AddString("name", &name, "restrict to one registry entry");
   Status parsed = flags.Parse(argc - 1, argv + 1);
