@@ -52,9 +52,15 @@ Month InstallBase::FirstSeen(CategoryId category) const {
 }
 
 InstallBase InstallBase::Before(Month cutoff) const {
+  // The timeline is sorted by month and holds each category once, so the
+  // sub-base is its prefix of months before the cutoff.
+  auto end = std::partition_point(
+      timeline_.begin(), timeline_.end(),
+      [cutoff](const auto& entry) { return entry.first < cutoff; });
   InstallBase base;
-  for (const auto& [month, category] : timeline_) {
-    if (month < cutoff) base.Observe(category, month);
+  base.timeline_.assign(timeline_.begin(), end);
+  for (const auto& entry : base.timeline_) {
+    base.mask_ |= uint64_t{1} << entry.second;
   }
   return base;
 }

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "math/simd/kernels.h"
 #include "models/adam.h"
 #include "models/perplexity.h"
@@ -488,23 +490,29 @@ std::vector<LstmLanguageModel::EpochStats> LstmLanguageModel::Train(
 
 double LstmLanguageModel::Perplexity(
     const std::vector<TokenSequence>& sequences) const {
-  PerplexityAccumulator acc;
-  std::vector<const TokenSequence*> batch;
-  auto flush = [this, &acc, &batch]() {
-    if (batch.empty()) return;
-    double log_prob = 0.0;
-    long long tokens = 0;
-    ForwardBatch(batch, /*train_mode=*/false, nullptr, nullptr, &log_prob,
-                 &tokens);
-    acc.AddMany(log_prob, tokens);
-    batch.clear();
-  };
+  std::vector<std::vector<const TokenSequence*>> batches;
   for (const TokenSequence& sequence : sequences) {
     if (sequence.empty()) continue;
-    batch.push_back(&sequence);
-    if (static_cast<int>(batch.size()) >= config_.batch_size) flush();
+    if (batches.empty() ||
+        static_cast<int>(batches.back().size()) >= config_.batch_size) {
+      batches.emplace_back();
+    }
+    batches.back().push_back(&sequence);
   }
-  flush();
+  // Eval-mode forward passes draw no randomness and fill no cache, so the
+  // batches score in parallel; the ordered reduce keeps the serial sum.
+  PerplexityAccumulator acc = ParallelMapReduce(
+      0, batches.size(), /*grain=*/0, PerplexityAccumulator(),
+      [&](size_t b) {
+        std::pair<double, long long> part{0.0, 0};
+        ForwardBatch(batches[b], /*train_mode=*/false, nullptr, nullptr,
+                     &part.first, &part.second);
+        return part;
+      },
+      [](PerplexityAccumulator reduced, std::pair<double, long long> part) {
+        reduced.AddMany(part.first, part.second);
+        return reduced;
+      });
   return acc.Perplexity();
 }
 

@@ -1,7 +1,8 @@
 #include "recsys/evaluation.h"
 
 #include <algorithm>
-#include <optional>
+#include <bit>
+#include <cstdint>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -12,17 +13,15 @@ namespace hlm::recsys {
 
 namespace {
 
-/// Per-(window, company) scored candidate set, computed once and swept
-/// across all thresholds.
-struct ScoredCompany {
-  std::vector<int> candidates;       // unowned products
-  std::vector<double> scores;        // aligned with candidates
-  std::vector<bool> in_truth;        // aligned with candidates
-  long long relevant = 0;            // ground-truth size for the company
-};
+/// One window's retrieval counts, aligned with config.thresholds.
+using WindowCounts = std::vector<WindowObservation>;
+
+/// Companies per scoring task. Fixed rather than derived from the thread
+/// count, so the task decomposition is the same at every thread count.
+constexpr size_t kCompaniesPerTask = 256;
 
 std::vector<ThresholdEvaluation> SweepThresholds(
-    const std::vector<std::vector<ScoredCompany>>& per_window,
+    const std::vector<WindowCounts>& per_window,
     const RecommendationEvalConfig& config) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::TraceSpan sweep_span(
@@ -32,31 +31,19 @@ std::vector<ThresholdEvaluation> SweepThresholds(
       ->Increment(static_cast<long long>(config.thresholds.size()));
   std::vector<ThresholdEvaluation> evaluations;
   evaluations.reserve(config.thresholds.size());
-  for (double threshold : config.thresholds) {
+  for (size_t t = 0; t < config.thresholds.size(); ++t) {
     ThresholdEvaluation evaluation;
-    evaluation.threshold = threshold;
-    for (const auto& companies : per_window) {
-      WindowObservation observation;
-      for (const ScoredCompany& company : companies) {
-        observation.relevant += company.relevant;
-        for (size_t i = 0; i < company.candidates.size(); ++i) {
-          if (company.scores[i] > threshold) {
-            ++observation.retrieved;
-            if (company.in_truth[i]) ++observation.correct;
-          }
-        }
-      }
+    evaluation.threshold = config.thresholds[t];
+    std::vector<double> precisions, recalls, f1s, retrieved, correct,
+        relevant;
+    for (const WindowCounts& counts : per_window) {
+      const WindowObservation& obs = counts[t];
       // Retrieval arithmetic invariants behind Fig. 3's precision/recall:
       // correct hits are a subset of both the retrieved and the relevant
       // sets.
-      HLM_DCHECK_LE(observation.correct, observation.retrieved);
-      HLM_DCHECK_LE(observation.correct, observation.relevant);
-      evaluation.windows.push_back(observation);
-    }
-
-    std::vector<double> precisions, recalls, f1s, retrieved, correct,
-        relevant;
-    for (const WindowObservation& obs : evaluation.windows) {
+      HLM_DCHECK_LE(obs.correct, obs.retrieved);
+      HLM_DCHECK_LE(obs.correct, obs.relevant);
+      evaluation.windows.push_back(obs);
       precisions.push_back(obs.precision());
       recalls.push_back(obs.recall());
       f1s.push_back(obs.f1());
@@ -87,7 +74,7 @@ std::vector<ThresholdEvaluation> SweepThresholds(
 }
 
 template <typename ScoreFn>
-std::vector<std::vector<ScoredCompany>> ScoreAllWindows(
+std::vector<WindowCounts> ScoreAllWindows(
     const corpus::Corpus& corpus, const RecommendationEvalConfig& config,
     const ScoreFn& score_company) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
@@ -96,42 +83,54 @@ std::vector<std::vector<ScoredCompany>> ScoreAllWindows(
   obs::Counter* companies_scored =
       metrics.GetCounter("hlm.recsys.companies_scored_total");
   obs::TraceSpan score_span("recsys.score_windows");
-  std::vector<std::vector<ScoredCompany>> per_window;
+  const size_t num_companies = static_cast<size_t>(corpus.num_companies());
+  std::vector<WindowCounts> per_window;
   for (const auto& window : config.protocol.Windows()) {
     obs::ScopedTimer window_timer(window_seconds);
-    // Companies score independently within a window, so they fan out
-    // over the pool into per-index slots; the serial compaction below
-    // preserves company order, keeping the result identical to the
-    // serial sweep at any thread count.
-    std::vector<std::optional<ScoredCompany>> slots(corpus.num_companies());
-    ParallelFor(
-        0, static_cast<size_t>(corpus.num_companies()), /*grain=*/0,
-        [&](size_t i) {
-          const corpus::InstallBase& base = corpus.record(i).install_base;
-          corpus::InstallBase history = base.Before(window.start);
-          if (history.empty()) return;  // nothing to condition on yet
-
-          std::vector<int> truth = base.AppearedIn(window.start, window.end);
-          ScoredCompany scored;
-          scored.relevant = static_cast<long long>(truth.size());
-
-          std::vector<double> dist = score_company(static_cast<int>(i),
-                                                   history);
-          for (int c = 0; c < corpus.num_categories(); ++c) {
-            if (history.Contains(c)) continue;  // never re-recommend owned
-            scored.candidates.push_back(c);
-            scored.scores.push_back(dist[c]);
-            scored.in_truth.push_back(
-                std::find(truth.begin(), truth.end(), c) != truth.end());
+    // Each company adds to its task's per-threshold counts as it is
+    // scored, so nothing per company outlives it. Integer counts summed in
+    // task order give the serial sweep's totals at any thread count.
+    per_window.push_back(ParallelMapReduce(
+        0, (num_companies + kCompaniesPerTask - 1) / kCompaniesPerTask,
+        /*grain=*/0, WindowCounts(config.thresholds.size()),
+        [&](size_t task) {
+          WindowCounts counts(config.thresholds.size());
+          long long scored = 0;
+          const size_t end =
+              std::min(num_companies, (task + 1) * kCompaniesPerTask);
+          for (size_t i = task * kCompaniesPerTask; i < end; ++i) {
+            const corpus::InstallBase& base = corpus.record(i).install_base;
+            corpus::InstallBase history = base.Before(window.start);
+            if (history.empty()) continue;  // nothing to condition on yet
+            uint64_t truth = 0;  // acquired in the window, each at most once
+            for (int c : base.AppearedIn(window.start, window.end)) {
+              truth |= uint64_t{1} << c;
+            }
+            std::vector<double> dist =
+                score_company(static_cast<int>(i), history);
+            for (size_t t = 0; t < config.thresholds.size(); ++t) {
+              counts[t].relevant += std::popcount(truth);
+              for (int c = 0; c < corpus.num_categories(); ++c) {
+                if (history.Contains(c)) continue;  // never re-recommend owned
+                if (dist[c] > config.thresholds[t]) {
+                  ++counts[t].retrieved;
+                  if ((truth >> c) & 1u) ++counts[t].correct;
+                }
+              }
+            }
+            ++scored;
           }
-          slots[i] = std::move(scored);
-        });
-    std::vector<ScoredCompany> companies;
-    for (std::optional<ScoredCompany>& slot : slots) {
-      if (slot.has_value()) companies.push_back(std::move(*slot));
-    }
-    companies_scored->Increment(static_cast<long long>(companies.size()));
-    per_window.push_back(std::move(companies));
+          companies_scored->Increment(scored);
+          return counts;
+        },
+        [](WindowCounts total, const WindowCounts& part) {
+          for (size_t t = 0; t < total.size(); ++t) {
+            total[t].retrieved += part[t].retrieved;
+            total[t].correct += part[t].correct;
+            total[t].relevant += part[t].relevant;
+          }
+          return total;
+        }));
   }
   HLM_LOG(Debug) << "recsys scored " << per_window.size()
                  << " sliding windows over " << corpus.num_companies()

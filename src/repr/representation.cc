@@ -1,5 +1,6 @@
 #include "repr/representation.h"
 
+#include "common/parallel.h"
 #include "common/snapshot.h"
 #include "corpus/tfidf.h"
 
@@ -17,11 +18,12 @@ std::vector<std::vector<double>> TfidfRepresentation(
 
 std::vector<std::vector<double>> LdaRepresentation(
     const models::LdaModel& model, const corpus::Corpus& corpus) {
-  std::vector<std::vector<double>> rows;
-  rows.reserve(corpus.num_companies());
-  for (const corpus::CompanyRecord& record : corpus.records()) {
-    rows.push_back(model.InferTopicMixture(record.install_base.Set()));
-  }
+  // Each fold-in is seeded from its own document, so the rows are the
+  // same at any thread count.
+  std::vector<std::vector<double>> rows(corpus.num_companies());
+  ParallelFor(0, rows.size(), /*grain=*/0, [&](size_t i) {
+    rows[i] = model.InferTopicMixture(corpus.record(i).install_base.Set());
+  });
   return rows;
 }
 

@@ -14,6 +14,7 @@
 #include "corpus/record_linkage.h"
 #include "corpus/sic.h"
 #include "corpus/tfidf.h"
+#include "math/rng.h"
 
 namespace hlm::corpus {
 namespace {
@@ -212,6 +213,34 @@ TEST(InstallBaseTest, BeforeAndAppearedIn) {
 
   auto in_window = base.AppearedIn(MakeMonth(2010, 1), MakeMonth(2015, 1));
   EXPECT_EQ(in_window, (std::vector<CategoryId>{2, 3}));
+}
+
+TEST(InstallBaseTest, BeforeMatchesObserveBuiltReference) {
+  // Before() copies the timeline's prefix; the reference rebuilds the
+  // sub-base one Observe() at a time, as the definition reads.
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    InstallBase base;
+    const int events = static_cast<int>(rng.NextInt(0, 20));
+    for (int e = 0; e < events; ++e) {
+      // Few distinct months, so months tie and categories repeat.
+      base.Observe(static_cast<CategoryId>(rng.NextBounded(38)),
+                   MakeMonth(2010, 1) + static_cast<Month>(rng.NextInt(0, 8)));
+    }
+    std::vector<Month> cutoffs = {MakeMonth(2000, 1), MakeMonth(2020, 1)};
+    for (const auto& [month, category] : base.timeline()) {
+      cutoffs.insert(cutoffs.end(), {month - 1, month, month + 1});
+    }
+    for (Month cutoff : cutoffs) {
+      InstallBase reference;
+      for (const auto& [month, category] : base.timeline()) {
+        if (month < cutoff) reference.Observe(category, month);
+      }
+      InstallBase before = base.Before(cutoff);
+      EXPECT_EQ(before.timeline(), reference.timeline()) << "cutoff " << cutoff;
+      EXPECT_EQ(before.mask(), reference.mask()) << "cutoff " << cutoff;
+    }
+  }
 }
 
 TEST(InstallBaseTest, AggregateSitesUnionsAndKeepsEarliest) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <functional>
 
+#include "common/parallel.h"
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "models/lstm_cell.h"
@@ -254,6 +255,29 @@ TEST(LstmLmTest, TrainingReducesPerplexity) {
   ASSERT_GE(history.size(), 2u);
   EXPECT_LT(lstm.Perplexity(data), untrained * 0.5);
   EXPECT_GT(untrained, 5.0);
+}
+
+TEST(LstmLmTest, PerplexityIdenticalAcrossThreadCounts) {
+  // Eval batches score in parallel and reduce in batch order, so the
+  // log-prob sum is the same at any thread count. Ragged lengths and an
+  // empty sequence exercise the padding mask and the skip.
+  LstmConfig config;
+  config.hidden_size = 8;
+  config.epochs = 2;
+  config.batch_size = 3;
+  LstmLanguageModel lstm(8, config);
+  lstm.Train(DeterministicChains(4), {});
+  std::vector<TokenSequence> data = DeterministicChains(5);
+  data.push_back({});
+  data.push_back({6, 2});
+  data.push_back({1});
+  SetNumThreads(1);
+  const double serial = lstm.Perplexity(data);
+  SetNumThreads(4);
+  const double parallel = lstm.Perplexity(data);
+  SetNumThreads(0);
+  EXPECT_EQ(parallel, serial);
+  EXPECT_GT(serial, 1.0);
 }
 
 TEST(LstmLmTest, DistributionNormalized) {

@@ -5,6 +5,7 @@
 #include "cluster/kmeans.h"
 #include "cluster/silhouette.h"
 #include "cluster/tsne.h"
+#include "common/parallel.h"
 #include "corpus/generator.h"
 #include "math/rng.h"
 #include "models/chh.h"
@@ -81,6 +82,18 @@ TEST_F(PipelineTest, PerplexityOrderingLdaBeatsNgramsBeatsUnigram) {
   EXPECT_LT(lda_ppl, bigram_ppl);
   EXPECT_LT(bigram_ppl, unigram_ppl);
   EXPECT_LT(lda_ppl, unigram_ppl * 0.75);
+}
+
+TEST_F(PipelineTest, LdaRepresentationIdenticalAcrossThreadCounts) {
+  // Every fold-in is seeded from its own document, so the rows computed
+  // in parallel equal the serial ones exactly.
+  SetNumThreads(1);
+  auto serial = repr::LdaRepresentation(*lda_, *train_);
+  SetNumThreads(4);
+  auto parallel = repr::LdaRepresentation(*lda_, *train_);
+  SetNumThreads(0);
+  ASSERT_EQ(serial.size(), static_cast<size_t>(train_->num_companies()));
+  EXPECT_EQ(parallel, serial);
 }
 
 TEST_F(PipelineTest, LdaRepresentationClustersBetterThanRaw) {

@@ -246,6 +246,165 @@ TEST(EvaluationTest, ResultsIdenticalAcrossThreadCounts) {
   }
 }
 
+// Scores on the 0.05 grid of DefaultThresholds(), so many land exactly on
+// a threshold; owned products score above every threshold, so they would
+// be counted if the evaluation did not skip them.
+double GridScore(int product, const models::TokenSequence& history) {
+  for (int owned : history) {
+    if (owned == product) return 0.95;
+  }
+  const int step = (product + 3 * static_cast<int>(history.size()) +
+                    (history.empty() ? 0 : history.front())) %
+                   10;
+  return 0.05 * step;
+}
+
+class GridScorer final : public models::ConditionalScorer {
+ public:
+  std::vector<double> NextProductDistribution(
+      const models::TokenSequence& history) const override {
+    std::vector<double> dist(38);
+    for (int c = 0; c < 38; ++c) dist[c] = GridScore(c, history);
+    return dist;
+  }
+  int vocab_size() const override { return 38; }
+  std::string name() const override { return "grid"; }
+};
+
+struct ReferenceCounts {
+  std::vector<std::vector<WindowObservation>> by_threshold;  // [t][window]
+  long long companies_scored = 0;
+  long long companies_skipped = 0;
+};
+
+// The protocol's definition as a plain loop: for every window, every
+// company with history before the window start, and every product it
+// does not own, count score > threshold.
+ReferenceCounts BruteForceCounts(
+    const corpus::Corpus& corpus, const RecommendationEvalConfig& config,
+    const std::function<double(int, int, const models::TokenSequence&)>&
+        score) {
+  ReferenceCounts ref;
+  ref.by_threshold.assign(config.thresholds.size(), {});
+  for (const auto& window : config.protocol.Windows()) {
+    std::vector<WindowObservation> counts(config.thresholds.size());
+    for (int i = 0; i < corpus.num_companies(); ++i) {
+      const auto& timeline = corpus.record(i).install_base.timeline();
+      models::TokenSequence history;
+      std::vector<int> truth;
+      for (const auto& [month, category] : timeline) {
+        if (month < window.start) history.push_back(category);
+        if (month >= window.start && month < window.end) {
+          truth.push_back(category);
+        }
+      }
+      if (history.empty()) {
+        ++ref.companies_skipped;
+        continue;
+      }
+      ++ref.companies_scored;
+      for (size_t t = 0; t < config.thresholds.size(); ++t) {
+        counts[t].relevant += static_cast<long long>(truth.size());
+        for (int c = 0; c < corpus.num_categories(); ++c) {
+          bool owned = std::find(history.begin(), history.end(), c) !=
+                       history.end();
+          if (owned || !(score(i, c, history) > config.thresholds[t])) {
+            continue;
+          }
+          ++counts[t].retrieved;
+          if (std::find(truth.begin(), truth.end(), c) != truth.end()) {
+            ++counts[t].correct;
+          }
+        }
+      }
+    }
+    for (size_t t = 0; t < config.thresholds.size(); ++t) {
+      ref.by_threshold[t].push_back(counts[t]);
+    }
+  }
+  return ref;
+}
+
+TEST(EvaluationTest, StreamedCountsMatchBruteForceReference) {
+  // A generated corpus spanning several scoring tasks, plus one company
+  // first seen after every window starts and one that owns nothing:
+  // both have empty history and are skipped.
+  auto world = corpus::GenerateDefaultCorpus(600, 5);
+  corpus::Corpus& c = world.corpus;
+  {
+    corpus::Company late;
+    late.name = "late";
+    late.sites.resize(1);
+    late.sites[0].events.push_back({4, MakeMonth(2015, 6), 0, 1.0});
+    c.Add(std::move(late));
+    corpus::Company empty;
+    empty.name = "empty";
+    c.Add(std::move(empty));
+  }
+  RecommendationEvalConfig config;
+  config.thresholds = DefaultThresholds();
+
+  Matrix matrix(c.num_companies(), c.num_categories(), 0.0);
+  for (int i = 0; i < c.num_companies(); ++i) {
+    for (int p = 0; p < c.num_categories(); ++p) {
+      matrix(i, p) = 0.05 * ((i + 2 * p) % 10);
+    }
+  }
+  RecommendationEvalConfig random_config = config;
+  random_config.thresholds = {0.0, 1.0 / 38.0, 0.5};
+
+  GridScorer scorer;
+  const ReferenceCounts by_scorer = BruteForceCounts(
+      c, config, [](int, int p, const models::TokenSequence& history) {
+        return GridScore(p, history);
+      });
+  const ReferenceCounts by_matrix = BruteForceCounts(
+      c, config, [&matrix](int i, int p, const models::TokenSequence&) {
+        return matrix(i, p);
+      });
+  const ReferenceCounts by_random = BruteForceCounts(
+      c, random_config,
+      [](int, int, const models::TokenSequence&) { return 1.0 / 38.0; });
+  ASSERT_GT(by_scorer.companies_skipped, 0);
+
+  obs::Counter* scored =
+      obs::MetricsRegistry::Global().GetCounter(
+          "hlm.recsys.companies_scored_total");
+  auto expect_matches = [&](const ReferenceCounts& ref,
+                            const std::vector<ThresholdEvaluation>& evals,
+                            long long scored_delta, const char* path) {
+    SCOPED_TRACE(path);
+    EXPECT_EQ(scored_delta, ref.companies_scored);
+    ASSERT_EQ(evals.size(), ref.by_threshold.size());
+    for (size_t t = 0; t < evals.size(); ++t) {
+      ASSERT_EQ(evals[t].windows.size(), ref.by_threshold[t].size());
+      for (size_t w = 0; w < evals[t].windows.size(); ++w) {
+        SCOPED_TRACE("threshold " + std::to_string(t) + " window " +
+                     std::to_string(w));
+        EXPECT_EQ(evals[t].windows[w].retrieved,
+                  ref.by_threshold[t][w].retrieved);
+        EXPECT_EQ(evals[t].windows[w].correct, ref.by_threshold[t][w].correct);
+        EXPECT_EQ(evals[t].windows[w].relevant,
+                  ref.by_threshold[t][w].relevant);
+      }
+    }
+  };
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    long long before = scored->value();
+    auto evals = EvaluateRecommender(scorer, c, config);
+    expect_matches(by_scorer, evals, scored->value() - before, "scorer");
+    before = scored->value();
+    evals = EvaluateScoreMatrix(matrix, c, config);
+    expect_matches(by_matrix, evals, scored->value() - before, "matrix");
+    before = scored->value();
+    evals = EvaluateRandomBaseline(c, random_config);
+    expect_matches(by_random, evals, scored->value() - before, "random");
+  }
+  SetNumThreads(0);
+}
+
 TEST(EvaluationTest, ConfidenceIntervalsShrinkWithConsistentWindows) {
   auto generated = corpus::GenerateDefaultCorpus(400, 3);
   RecommendationEvalConfig config;
